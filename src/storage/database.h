@@ -66,10 +66,12 @@ class Database {
   Result<std::shared_ptr<const RelationIndex>> BuildIndex(
       const std::string& name, const std::vector<size_t>& columns) const;
 
-  /// A deep, fully flat copy: every relation materialized into a fresh base
-  /// with no structure shared with this state. This is the copy-per-state
-  /// storage model the overlay representation replaces; kept as the
-  /// benchmark baseline and for callers that must sever sharing.
+  /// A fully flat copy: every relation materialized into a fresh base, so
+  /// no base pointer is shared with this state and OverlayEditBetween
+  /// across the two states returns nullopt. The tuple storage of relations
+  /// that were already flat is still shared (Relation copies share their
+  /// payload); overlays are merged into new storage. Kept as the flat-state
+  /// baseline and for callers that must sever base identity.
   Database Consolidated() const;
 
   /// Content equality (representation-independent: an overlay and a flat

@@ -160,7 +160,8 @@ RelationView RelationView::ApplyDelta(std::vector<Tuple> adds,
 
 Relation RelationView::Materialize() const {
   if (is_flat()) {
-    AmbientExecContext().AddViewTuplesCopied(base_->size());
+    // A Relation copy shares the base's payload: no tuple is copied.
+    AmbientExecContext().AddViewTuplesShared(base_->size());
     return *base_;
   }
   Relation flat = base_->ApplyTuples(adds_, dels_);

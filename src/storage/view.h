@@ -89,7 +89,9 @@ class RelationView {
                           double consolidate_fraction =
                               kConsolidateFraction) const;
 
-  /// The merged content as a fresh flat Relation (always copies).
+  /// The merged content as a flat Relation. A flat view returns a copy of
+  /// its base, which shares the base's tuple payload (counted as shared);
+  /// an overlay merges into a fresh relation (counted as copied).
   Relation Materialize() const;
 
   /// The merged content as a shared flat relation. Flat views return their

@@ -288,6 +288,23 @@ TEST(SessionFacadeTest, CompareIsTheExampleDifference) {
   EXPECT_TRUE(none.empty());
 }
 
+// A memo-served answer leaves the session as a handle on the cached
+// result's tuples, not as a copy of them.
+TEST(SessionFacadeTest, MemoWarmQueriesShareTheCachedTuples) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK(s->Derive("root", "hire", H("{ins(emp, {(4, 20)})}")));
+  QueryPtr q = Q("sigma[$1 = 20](emp) join[$1 = $2] dept");
+  ASSERT_OK_AND_ASSIGN(Relation cold, s->Query("hire", q));
+  const uint64_t hits_before = s->Stats().memo_hits;
+  ASSERT_OK_AND_ASSIGN(Relation first, s->Query("hire", q));
+  ASSERT_OK_AND_ASSIGN(Relation second, s->Query("hire", q));
+  EXPECT_GT(s->Stats().memo_hits, hits_before);
+  EXPECT_EQ(first, Ints({{3, 20, 20, 200}, {4, 20, 20, 200}}));
+  EXPECT_EQ(&first.tuples(), &second.tuples());
+  EXPECT_EQ(first, cold);
+}
+
 TEST(SessionFacadeTest, SnapshotIsolationFromEngineAndSiblings) {
   Engine engine(SmallDb());
   ASSERT_OK_AND_ASSIGN(SessionPtr a, engine.CreateSession("a"));
