@@ -26,6 +26,8 @@ namespace {
 constexpr const char* kStatsCounters[] = {
     "memo_hits",
     "memo_misses",
+    "plan_cache_hits",
+    "plan_cache_misses",
     "views_created",
     "view_consolidations",
     "view_tuples_shared",

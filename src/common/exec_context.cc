@@ -61,6 +61,8 @@ void AppendField(std::string* out, const char* key, uint64_t value,
 void ExecStats::MergeFrom(const ExecStats& other) {
   memo_hits += other.memo_hits;
   memo_misses += other.memo_misses;
+  plan_cache_hits += other.plan_cache_hits;
+  plan_cache_misses += other.plan_cache_misses;
 
   views_created += other.views_created;
   view_consolidations += other.view_consolidations;
@@ -109,6 +111,8 @@ std::string ExecStats::ToJson() const {
   bool first = false;
   AppendField(&out, "memo_hits", memo_hits, &first);
   AppendField(&out, "memo_misses", memo_misses, &first);
+  AppendField(&out, "plan_cache_hits", plan_cache_hits, &first);
+  AppendField(&out, "plan_cache_misses", plan_cache_misses, &first);
   AppendField(&out, "views_created", views_created, &first);
   AppendField(&out, "view_consolidations", view_consolidations, &first);
   AppendField(&out, "view_tuples_shared", view_tuples_shared, &first);
@@ -212,6 +216,9 @@ ExecStats ExecContext::Snapshot() const {
   ExecStats stats;
   stats.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   stats.memo_misses = memo_misses_.load(std::memory_order_relaxed);
+  stats.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
+  stats.plan_cache_misses =
+      plan_cache_misses_.load(std::memory_order_relaxed);
   stats.views_created = views_created_.load(std::memory_order_relaxed);
   stats.view_consolidations =
       view_consolidations_.load(std::memory_order_relaxed);
@@ -273,6 +280,8 @@ ExecStats ExecContext::Snapshot() const {
 void ExecContext::MergeFrom(const ExecStats& stats) {
   Bump(&memo_hits_, stats.memo_hits);
   Bump(&memo_misses_, stats.memo_misses);
+  Bump(&plan_cache_hits_, stats.plan_cache_hits);
+  Bump(&plan_cache_misses_, stats.plan_cache_misses);
   Bump(&views_created_, stats.views_created);
   Bump(&view_consolidations_, stats.view_consolidations);
   Bump(&view_tuples_shared_, stats.view_tuples_shared);
@@ -320,6 +329,8 @@ void ExecContext::Reset() {
 void ExecContext::ResetMemoCounters() {
   memo_hits_.store(0, std::memory_order_relaxed);
   memo_misses_.store(0, std::memory_order_relaxed);
+  plan_cache_hits_.store(0, std::memory_order_relaxed);
+  plan_cache_misses_.store(0, std::memory_order_relaxed);
 }
 
 void ExecContext::ResetViewCounters() {

@@ -66,6 +66,9 @@ struct ExecStats {
   // cache-wide entry/eviction counters stay on MemoCache::stats()).
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
+  // Hybrid plan entries on the same cache: a hit skips re-planning.
+  uint64_t plan_cache_hits = 0;
+  uint64_t plan_cache_misses = 0;
 
   // Copy-on-write view layer.
   uint64_t views_created = 0;
@@ -143,6 +146,8 @@ class ExecContext {
   // -- charge API (called by storage/eval/opt layers) --
   void AddMemoHit() { Bump(&memo_hits_); }
   void AddMemoMiss() { Bump(&memo_misses_); }
+  void AddPlanCacheHit() { Bump(&plan_cache_hits_); }
+  void AddPlanCacheMiss() { Bump(&plan_cache_misses_); }
 
   void AddViewCreated() { Bump(&views_created_); }
   void AddViewConsolidation() { Bump(&view_consolidations_); }
@@ -221,6 +226,8 @@ class ExecContext {
 
   std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> memo_misses_{0};
+  std::atomic<uint64_t> plan_cache_hits_{0};
+  std::atomic<uint64_t> plan_cache_misses_{0};
 
   std::atomic<uint64_t> views_created_{0};
   std::atomic<uint64_t> view_consolidations_{0};

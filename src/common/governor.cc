@@ -12,6 +12,7 @@ namespace hql {
 namespace {
 
 thread_local ExecGovernor* t_current_governor = nullptr;
+thread_local RewriteNodeTally* t_rewrite_tally = nullptr;
 
 }  // namespace
 
@@ -151,5 +152,21 @@ GovernorScope::GovernorScope(ExecGovernor* governor)
 }
 
 GovernorScope::~GovernorScope() { t_current_governor = prev_; }
+
+Status GovernorChargeRewriteNodes(uint64_t n) {
+  if (t_rewrite_tally != nullptr) t_rewrite_tally->count_ += n;
+  ExecGovernor* gov = CurrentGovernor();
+  if (gov == nullptr || gov->ChargeRewriteNodes(n)) return Status::OK();
+  return gov->status();
+}
+
+RewriteNodeTally::RewriteNodeTally() : prev_(t_rewrite_tally) {
+  t_rewrite_tally = this;
+}
+
+RewriteNodeTally::~RewriteNodeTally() {
+  t_rewrite_tally = prev_;
+  if (prev_ != nullptr) prev_->count_ += count_;
+}
 
 }  // namespace hql

@@ -214,12 +214,30 @@ inline Status GovernorCheck() {
 }
 
 /// Charges rewriter-produced nodes against the ambient governor (no-op
-/// without one); returns the trip status when the budget is exceeded.
-inline Status GovernorChargeRewriteNodes(uint64_t n) {
-  ExecGovernor* gov = CurrentGovernor();
-  if (gov == nullptr || gov->ChargeRewriteNodes(n)) return Status::OK();
-  return gov->status();
-}
+/// without one); returns the trip status when the budget is exceeded. The
+/// charge is also counted by any RewriteNodeTally in scope.
+Status GovernorChargeRewriteNodes(uint64_t n);
+
+/// Counts the rewrite nodes charged on the current thread while in scope,
+/// whether or not a governor is installed. The plan cache (opt/planner.cc)
+/// records a cold planning's charge this way, so that a hit can replay it
+/// against whatever budget is ambient then. Tallies nest; an inner tally's
+/// count also reaches the outer one.
+class RewriteNodeTally {
+ public:
+  RewriteNodeTally();
+  ~RewriteNodeTally();
+
+  RewriteNodeTally(const RewriteNodeTally&) = delete;
+  RewriteNodeTally& operator=(const RewriteNodeTally&) = delete;
+
+  uint64_t count() const { return count_; }
+
+ private:
+  friend Status GovernorChargeRewriteNodes(uint64_t n);
+  RewriteNodeTally* prev_;
+  uint64_t count_ = 0;
+};
 
 }  // namespace hql
 

@@ -55,112 +55,75 @@ uint64_t FingerprintState(const Database& db, const DeltaValue& env) {
   return h;
 }
 
-MemoCache::MemoCache(size_t capacity) : capacity_(capacity) {}
+namespace {
+
+uint64_t TupleCount(const Relation& r) { return r.size(); }
+
+}  // namespace
+
+MemoCache::MemoCache(size_t capacity)
+    : results_(capacity, &TupleCount),
+      plans_(capacity == 0 ? 0 : kPlanCapacity) {}
 
 std::shared_ptr<const Relation> MemoCache::Lookup(uint64_t key) {
   // The cache keeps its own cumulative stats (it outlives executions); the
   // ambient ExecContext additionally attributes each hit/miss to the
   // execution that caused it.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
+  std::shared_ptr<const Relation> hit = results_.Lookup(key);
+  if (hit != nullptr) {
+    AmbientExecContext().AddMemoHit();
+  } else {
     AmbientExecContext().AddMemoMiss();
-    return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  AmbientExecContext().AddMemoHit();
-  return it->second->value;
+  return hit;
 }
 
 void MemoCache::Insert(uint64_t key, std::shared_ptr<const Relation> value) {
   HQL_FAIL_POINT(kFailPointMemoInsert);
-  if (capacity_ == 0 || value == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    stats_.cached_tuples -= it->second->value->size();
-    stats_.cached_tuples += value->size();
-    it->second->value = std::move(value);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  results_.Insert(key, std::move(value));
+}
+
+std::shared_ptr<const CachedPlan> MemoCache::LookupPlan(uint64_t key) {
+  std::shared_ptr<const CachedPlan> hit = plans_.Lookup(key);
+  if (hit != nullptr) {
+    AmbientExecContext().AddPlanCacheHit();
+  } else {
+    AmbientExecContext().AddPlanCacheMiss();
   }
-  if (lru_.size() >= capacity_) {
-    const Entry& victim = lru_.back();
-    stats_.cached_tuples -= victim.value->size();
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  stats_.cached_tuples += value->size();
-  lru_.push_front(Entry{key, std::move(value)});
-  index_[key] = lru_.begin();
-  ++stats_.insertions;
-  stats_.entries = lru_.size();
+  return hit;
+}
+
+void MemoCache::InsertPlan(uint64_t key,
+                           std::shared_ptr<const CachedPlan> plan) {
+  // Where every read is a new state (a scenario edited between reads) each
+  // plan would be pinned until evicted and never hit; holding 256 such
+  // trees measurably slowed those reads (EXPERIMENTS.md, end-to-end). A
+  // slot collision only delays admission.
+  std::atomic<uint64_t>& seen = plan_keys_seen_[key % kPlanCapacity];
+  if (seen.exchange(key, std::memory_order_relaxed) != key) return;
+  plans_.Insert(key, std::move(plan));
 }
 
 void MemoCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  stats_.entries = 0;
-  stats_.cached_tuples = 0;
+  results_.Clear();
+  plans_.Clear();
 }
 
 void MemoCache::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats fresh;
-  fresh.entries = lru_.size();
-  for (const Entry& e : lru_) fresh.cached_tuples += e.value->size();
-  stats_ = fresh;
+  results_.ResetStats();
+  plans_.ResetStats();
 }
 
 MemoCache::Stats MemoCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.entries = lru_.size();
-  return s;
-}
-
-IncrementalCache::IncrementalCache(size_t capacity) : capacity_(capacity) {}
-
-std::shared_ptr<const IncrementalEntry> IncrementalCache::Lookup(
-    uint64_t query_fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(query_fingerprint);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
-}
-
-void IncrementalCache::Insert(uint64_t query_fingerprint,
-                              std::shared_ptr<const IncrementalEntry> entry) {
-  if (capacity_ == 0 || entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(query_fingerprint);
-  if (it != index_.end()) {
-    it->second->value = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-  lru_.push_front(Entry{query_fingerprint, std::move(entry)});
-  index_[query_fingerprint] = lru_.begin();
-}
-
-void IncrementalCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
-size_t IncrementalCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  LruStats s = results_.stats();
+  Stats out;
+  out.hits = s.hits;
+  out.misses = s.misses;
+  out.evictions = s.evictions;
+  out.insertions = s.insertions;
+  out.entries = s.entries;
+  out.cached_tuples = s.weight;
+  return out;
 }
 
 }  // namespace hql

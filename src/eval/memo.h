@@ -15,17 +15,23 @@
 // changes the state fingerprint, so stale results are unreachable rather
 // than invalidated — the stale entries simply age out of the LRU.
 //
+// Next to the results the cache keeps the hybrid planner's decisions under
+// the same key discipline (CachedPlan), so a memo-served family of reads
+// against one state stops re-planning `Q when path` as well.
+//
 // The cache is shared across worker threads (opt/session.h's
 // EvalAlternatives); all operations take one short critical section.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
+#include "ast/forward.h"
+#include "common/lru.h"
 #include "eval/delta.h"
 #include "eval/xsub.h"
 #include "storage/database.h"
@@ -48,6 +54,22 @@ uint64_t FingerprintState(const Database& db, const XsubValue& env);
 /// Database state refined by a delta environment.
 uint64_t FingerprintState(const Database& db, const DeltaValue& env);
 
+/// A memoized hybrid planning decision (opt/planner.cc): which route the
+/// hybrid strategy takes for one (query, state, planner inputs) and the
+/// rewrite-node charge the cold planning made, so that a hit can replay it
+/// against the ambient governor.
+struct CachedPlan {
+  enum class Route {
+    kDelta,  // Algorithm HQL-3 on the query itself
+    kLazy,   // `query` is pure RA
+    kEager,  // `query` keeps `when` nodes for HQL-2 to materialize
+  };
+  Route route = Route::kDelta;
+  /// The PlanHybrid output (null on the delta route).
+  QueryPtr query;
+  uint64_t rewrite_nodes = 0;
+};
+
 class MemoCache {
  public:
   struct Stats {
@@ -65,12 +87,15 @@ class MemoCache {
     }
   };
 
-  /// `capacity` bounds the number of entries; the least recently used entry
-  /// is evicted on overflow. Capacity 0 disables caching (every Lookup
-  /// misses, Insert is a no-op).
+  /// `capacity` bounds the number of subplan results; the least recently
+  /// used entry is evicted on overflow. Capacity 0 disables caching (every
+  /// Lookup misses, Insert is a no-op), plan entries included.
   explicit MemoCache(size_t capacity = kDefaultCapacity);
 
   static constexpr size_t kDefaultCapacity = 4096;
+  /// Plan entries are few and small next to results, but each pins its
+  /// planned query tree; the cap keeps that bounded (DESIGN.md §5).
+  static constexpr size_t kPlanCapacity = 256;
 
   /// The cached relation for `key` (nullptr on miss), refreshing its LRU
   /// position; counts a hit or a miss. Entries are immutable and shared —
@@ -81,24 +106,28 @@ class MemoCache {
   /// the LRU entry when full. Null values are ignored.
   void Insert(uint64_t key, std::shared_ptr<const Relation> value);
 
-  /// Drops all entries; counters survive (Reset clears those too).
+  /// The plan entry for `key` (nullptr on miss); counts a plan-cache hit
+  /// or miss on the cache and on the ambient ExecContext.
+  std::shared_ptr<const CachedPlan> LookupPlan(uint64_t key);
+  /// Caches `plan` under `key` once the key has missed before: a plan is
+  /// admitted on its key's second miss, so one-off (query, state) pairs
+  /// never pin a plan tree.
+  void InsertPlan(uint64_t key, std::shared_ptr<const CachedPlan> plan);
+
+  /// Drops all entries, results and plans; counters survive (ResetStats
+  /// clears those too).
   void Clear();
   void ResetStats();
 
   Stats stats() const;
-  size_t capacity() const { return capacity_; }
+  LruStats plan_stats() const { return plans_.stats(); }
+  size_t capacity() const { return results_.capacity(); }
 
  private:
-  struct Entry {
-    uint64_t key;
-    std::shared_ptr<const Relation> value;
-  };
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-  Stats stats_;
+  LruCache<Relation> results_;
+  LruCache<CachedPlan> plans_;
+  /// Direct-mapped record of the last plan key offered per slot.
+  std::array<std::atomic<uint64_t>, kPlanCapacity> plan_keys_seen_{};
 };
 
 /// One memoized execution retained for incremental re-evaluation
@@ -120,39 +149,15 @@ struct IncrementalEntry {
   uint64_t state_fingerprint = 0;
 };
 
-/// A small thread-safe LRU cache of IncrementalEntry keyed by the *query*
-/// fingerprint alone (unlike MemoCache's query x state keys): the point is
-/// to find the latest execution of the same plan against a *different*
-/// state and patch the difference.
-class IncrementalCache {
+/// A small LRU cache of IncrementalEntry keyed by the *query* fingerprint
+/// alone (unlike MemoCache's query x state keys): the point is to find the
+/// latest execution of the same plan against a *different* state and patch
+/// the difference. Insert overwrites, so Lookup finds the latest execution.
+class IncrementalCache : public LruCache<IncrementalEntry> {
  public:
-  explicit IncrementalCache(size_t capacity = kDefaultCapacity);
-
   static constexpr size_t kDefaultCapacity = 64;
-
-  /// The most recent entry recorded for `query_fingerprint` (nullptr when
-  /// none), refreshing its LRU position.
-  std::shared_ptr<const IncrementalEntry> Lookup(uint64_t query_fingerprint);
-
-  /// Records `entry` as the latest execution of `query_fingerprint`
-  /// (overwrites), evicting the LRU entry when full.
-  void Insert(uint64_t query_fingerprint,
-              std::shared_ptr<const IncrementalEntry> entry);
-
-  void Clear();
-  size_t entries() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    uint64_t key;
-    std::shared_ptr<const IncrementalEntry> value;
-  };
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
+  explicit IncrementalCache(size_t capacity = kDefaultCapacity)
+      : LruCache(capacity) {}
 };
 
 }  // namespace hql

@@ -406,9 +406,7 @@ Session::~Session() { engine_->ReleaseSession(); }
 
 int Session::FindNode(const std::string& name) const {
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].name.empty() && nodes_[i].name == name) {
-      return static_cast<int>(i);
-    }
+    if (nodes_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -454,21 +452,23 @@ Status Session::Drop(const std::string& node) {
     return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
   }
   if (i == 0) return Status::InvalidArgument("the root cannot be dropped");
-  // Children are always appended after their parent, so one forward sweep
-  // finds the whole subtree.
-  std::vector<bool> doomed(nodes_.size(), false);
-  doomed[static_cast<size_t>(i)] = true;
-  for (size_t j = static_cast<size_t>(i) + 1; j < nodes_.size(); ++j) {
-    if (nodes_[j].name.empty()) continue;
-    if (nodes_[j].parent >= 0 &&
-        doomed[static_cast<size_t>(nodes_[j].parent)]) {
-      doomed[j] = true;
-    }
-  }
+  // Children always follow their parent, so one forward sweep finds the
+  // whole subtree. The survivors keep their order and get their parent
+  // indices remapped, which preserves that invariant.
+  std::vector<int> remap(nodes_.size(), -1);  // -1 = dropped
+  std::vector<Node> kept;
+  kept.reserve(nodes_.size());
   for (size_t j = 0; j < nodes_.size(); ++j) {
-    if (!doomed[j]) continue;
-    nodes_[j] = Node{};  // empty name = dropped slot
+    Node& n = nodes_[j];
+    if (static_cast<int>(j) == i ||
+        (n.parent >= 0 && remap[static_cast<size_t>(n.parent)] < 0)) {
+      continue;
+    }
+    if (n.parent >= 0) n.parent = remap[static_cast<size_t>(n.parent)];
+    remap[j] = static_cast<int>(kept.size());
+    kept.push_back(std::move(n));
   }
+  nodes_ = std::move(kept);
   return Status::OK();
 }
 
@@ -477,7 +477,6 @@ void Session::InvalidateSubtree(int index) {
   stale[static_cast<size_t>(index)] = true;
   nodes_[static_cast<size_t>(index)].state = nullptr;
   for (size_t j = static_cast<size_t>(index) + 1; j < nodes_.size(); ++j) {
-    if (nodes_[j].name.empty()) continue;
     if (nodes_[j].parent >= 0 && stale[static_cast<size_t>(nodes_[j].parent)]) {
       stale[j] = true;
       nodes_[j].state = nullptr;
@@ -521,50 +520,52 @@ Result<std::shared_ptr<Database>> Session::StateOf(int index) {
   return state;
 }
 
-Result<Relation> Session::RunAt(int index, const QueryPtr& query) {
+Session::RunConfig Session::PrepareLocked(int index,
+                                          const QueryPtr& query) const {
   // Compose `Q when (path)` and hand the whole thing to the planner: which
   // point of the lazy<->eager spectrum evaluates the path is exactly the
   // session's strategy knob (every strategy computes the same value).
-  QueryPtr composed;
-  PlannerOptions planner;
-  Strategy strategy;
-  Database base{Schema()};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HypoExprPtr state = PathState(index);
-    composed = state == nullptr ? query : Query::When(query, state);
-    planner = options_.ToPlannerOptions(&engine_->memo_, &engine_->advisor_,
-                                        &engine_->incremental_);
-    planner.cancel_token = cancel_;
-    strategy = options_.strategy;
-    base = base_;
-  }
+  RunConfig run;
+  HypoExprPtr state = PathState(index);
+  run.composed = state == nullptr ? query : Query::When(query, state);
+  run.strategy = options_.strategy;
+  run.planner = PlannerConfigLocked();
+  run.base = base_;
+  return run;
+}
+
+Result<Relation> Session::Run(const RunConfig& run) {
   if (cancel_->cancelled()) {
     return Status::Cancelled("session cancelled");
   }
-  HQL_RETURN_IF_ERROR(InferQueryArity(composed, base.schema()).status());
+  HQL_RETURN_IF_ERROR(
+      InferQueryArity(run.composed, run.base.schema()).status());
   ExecContextScope scope(&exec_);
-  return Execute(composed, base, base.schema(), strategy, planner);
+  return Execute(run.composed, run.base, run.base.schema(), run.strategy,
+                 run.planner);
 }
 
 Result<Relation> Session::Query(const std::string& node,
                                 const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("query: null query");
-  int i;
+  RunConfig run;
   {
+    // Resolving the name and composing its path in one critical section
+    // keeps a concurrent Drop from retargeting the query.
     std::lock_guard<std::mutex> lock(mu_);
-    i = FindNode(node);
+    int i = FindNode(node);
+    if (i < 0) {
+      return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
+    }
+    run = PrepareLocked(i, query);
   }
-  if (i < 0) {
-    return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
-  }
-  return RunAt(i, query);
+  return Run(run);
 }
 
 Result<Relation> Session::Compare(const std::string& a, const std::string& b,
                                   const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("compare: null query");
-  QueryPtr diff;
+  RunConfig run;
   {
     std::lock_guard<std::mutex> lock(mu_);
     int ia = FindNode(a);
@@ -577,38 +578,33 @@ Result<Relation> Session::Compare(const std::string& a, const std::string& b,
     }
     HypoExprPtr sa = PathState(ia);
     HypoExprPtr sb = PathState(ib);
-    diff = Query::Difference(
-        sa == nullptr ? query : Query::When(query, sa),
-        sb == nullptr ? query : Query::When(query, sb));
+    run = PrepareLocked(
+        0, Query::Difference(sa == nullptr ? query : Query::When(query, sa),
+                             sb == nullptr ? query : Query::When(query, sb)));
   }
-  return RunAt(0, diff);
+  return Run(run);
 }
 
 Result<AnalyzeReport> Session::Analyze(const std::string& node,
                                        const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("analyze: null query");
-  QueryPtr composed;
-  AnalyzeOptions opts;
-  Database base{Schema()};
+  RunConfig run;
   {
     std::lock_guard<std::mutex> lock(mu_);
     int i = FindNode(node);
     if (i < 0) {
       return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
     }
-    HypoExprPtr state = PathState(i);
-    composed = state == nullptr ? query : Query::When(query, state);
-    opts.strategy = options_.strategy;
-    opts.planner = options_.ToPlannerOptions(
-        &engine_->memo_, &engine_->advisor_, &engine_->incremental_);
-    opts.planner.cancel_token = cancel_;
-    base = base_;
+    run = PrepareLocked(i, query);
   }
   if (cancel_->cancelled()) {
     return Status::Cancelled("session cancelled");
   }
+  AnalyzeOptions opts;
+  opts.strategy = run.strategy;
+  opts.planner = run.planner;
   ExecContextScope scope(&exec_);
-  return ExplainAnalyze(composed, base, base.schema(), opts);
+  return ExplainAnalyze(run.composed, run.base, run.base.schema(), opts);
 }
 
 std::vector<ScenarioInfo> Session::Nodes() const {
@@ -618,7 +614,6 @@ std::vector<ScenarioInfo> Session::Nodes() const {
   std::vector<ScenarioInfo> rest;
   for (size_t i = 1; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
-    if (n.name.empty()) continue;
     rest.push_back(ScenarioInfo{
         n.name, nodes_[static_cast<size_t>(n.parent)].name,
         n.state != nullptr});
@@ -633,11 +628,7 @@ std::vector<ScenarioInfo> Session::Nodes() const {
 
 size_t Session::NumNodes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  for (const Node& n : nodes_) {
-    if (!n.name.empty()) ++count;
-  }
-  return count;
+  return nodes_.size();
 }
 
 Status Session::Set(const std::string& knob, const std::string& value) {
@@ -666,6 +657,10 @@ ExecStats Session::Stats() const { return exec_.Snapshot(); }
 
 PlannerOptions Session::PlannerConfig() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return PlannerConfigLocked();
+}
+
+PlannerOptions Session::PlannerConfigLocked() const {
   PlannerOptions p = options_.ToPlannerOptions(
       &engine_->memo_, &engine_->advisor_, &engine_->incremental_);
   p.cancel_token = cancel_;
@@ -679,11 +674,7 @@ Status Session::Refresh() {
   uint64_t version = engine_->base_version();
   std::lock_guard<std::mutex> lock(mu_);
   if (!(next.schema().arities() == base_.schema().arities())) {
-    size_t live = 0;
-    for (const Node& n : nodes_) {
-      if (!n.name.empty()) ++live;
-    }
-    if (live > 1) {
+    if (nodes_.size() > 1) {
       return Status::InvalidArgument(
           "refresh: schema changed under a non-trivial scenario tree; "
           "drop derived scenarios first");

@@ -295,7 +295,20 @@ class Session {
   void InvalidateSubtree(int index);
   /// Composition of the edges on the path root -> index (null at root).
   HypoExprPtr PathState(int index) const;
-  Result<Relation> RunAt(int index, const QueryPtr& query);
+  /// PlannerConfig() for callers already holding mu_ (as every private
+  /// helper here expects).
+  PlannerOptions PlannerConfigLocked() const;
+
+  /// One query's input, snapshotted under mu_ in the same critical section
+  /// that resolved its scenario.
+  struct RunConfig {
+    QueryPtr composed;  // Q when (path)
+    Strategy strategy = Strategy::kHybrid;
+    PlannerOptions planner;
+    Database base{Schema()};
+  };
+  RunConfig PrepareLocked(int index, const QueryPtr& query) const;
+  Result<Relation> Run(const RunConfig& run);
 
   Engine* engine_;
   std::string name_;
@@ -305,7 +318,7 @@ class Session {
   Database base_;
   uint64_t snapshot_version_ = 0;
   EngineOptions options_;
-  std::vector<Node> nodes_;  // dropped nodes have empty names
+  std::vector<Node> nodes_;  // root first; children follow their parent
   ExecContext exec_;
 };
 

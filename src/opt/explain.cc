@@ -154,6 +154,10 @@ Result<ExplainReport> Explain(const QueryPtr& query, const Schema& schema,
     report.memo_entries = cache.entries;
     report.memo_cached_tuples = cache.cached_tuples;
     report.memo_hit_rate = cache.HitRate();
+    LruStats plans = memo->plan_stats();
+    report.plan_cache_hits = plans.hits;
+    report.plan_cache_misses = plans.misses;
+    report.plan_cache_entries = plans.entries;
   }
   return report;
 }
@@ -226,6 +230,11 @@ std::string FormatExplain(const ExplainReport& report) {
         static_cast<unsigned long long>(report.memo_evictions),
         static_cast<unsigned long long>(report.memo_entries),
         static_cast<unsigned long long>(report.memo_cached_tuples));
+    out += StrFormat(
+        "plans:      %llu hits, %llu misses; %llu entries\n",
+        static_cast<unsigned long long>(report.plan_cache_hits),
+        static_cast<unsigned long long>(report.plan_cache_misses),
+        static_cast<unsigned long long>(report.plan_cache_entries));
   }
   out += FormatExecCounters(report.exec);
   return out;
@@ -254,9 +263,12 @@ std::string FormatExplainAnalyze(const AnalyzeReport& report) {
       static_cast<double>(report.wall_micros) / 1000.0,
       report.exec.route.empty() ? "(unrouted)" : report.exec.route.c_str());
   out += StrFormat(
-      "exec:       memo %llu hits / %llu misses\n",
+      "exec:       memo %llu hits / %llu misses; plan cache %llu hits / "
+      "%llu misses\n",
       static_cast<unsigned long long>(report.exec.memo_hits),
-      static_cast<unsigned long long>(report.exec.memo_misses));
+      static_cast<unsigned long long>(report.exec.memo_misses),
+      static_cast<unsigned long long>(report.exec.plan_cache_hits),
+      static_cast<unsigned long long>(report.exec.plan_cache_misses));
   out += FormatExecCounters(report.exec);
   if (!report.exec.spans.empty()) {
     out += "spans:      operator          route          rows in -> out"

@@ -83,6 +83,10 @@ struct ExplainReport : PlanReport {
   uint64_t memo_entries = 0;
   uint64_t memo_cached_tuples = 0;
   double memo_hit_rate = 0;
+  // The same cache's hybrid plan entries.
+  uint64_t plan_cache_hits = 0;
+  uint64_t plan_cache_misses = 0;
+  uint64_t plan_cache_entries = 0;
 
   // Copy-on-write view layer (see ExecStats).
   uint64_t views_created = 0;

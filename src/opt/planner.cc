@@ -1,6 +1,8 @@
 #include "opt/planner.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <vector>
 
 #include "ast/hypo.h"
@@ -8,6 +10,7 @@
 #include "ast/query.h"
 #include "common/check.h"
 #include "common/exec_context.h"
+#include "common/strings.h"
 #include "eval/direct.h"
 #include "eval/filter1.h"
 #include "eval/filter2.h"
@@ -294,6 +297,75 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
   return out.Materialize();
 }
 
+// The hybrid strategy's decision for `query` in `db`. Delta route: if every
+// state is an atomic update chain (mod-ENF) and the estimated change is a
+// small fraction of the data, HQL-3's streaming operators beat both
+// substitution and xsub materialization (Section 5.5). Otherwise
+// PlanHybrid decides per `when` node. The rewrite nodes the planning
+// charged are recorded with the decision.
+Result<std::shared_ptr<const CachedPlan>> PlanHybridRoute(
+    const QueryPtr& query, const Database& db, const Schema& schema,
+    const PlannerOptions& options) {
+  RewriteNodeTally tally;
+  auto plan = std::make_shared<CachedPlan>();
+  StatsCatalog stats = StatsCatalog::FromDatabase(db);
+  bool delta = false;
+  if (options.delta_fraction_threshold > 0 && !IsPureRelAlg(query) &&
+      ToModEnf(query, schema).ok()) {
+    CardinalityEstimator estimator(stats);
+    double materialization = 0;
+    double affected_base = 0;
+    CollectStateLoad(query, stats, estimator, &materialization,
+                     &affected_base);
+    delta = affected_base > 0 &&
+            materialization <
+                options.delta_fraction_threshold * affected_base;
+  }
+  if (delta) {
+    plan->route = CachedPlan::Route::kDelta;
+  } else {
+    HQL_ASSIGN_OR_RETURN(Plan planned,
+                         PlanHybrid(query, schema, stats, options));
+    plan->route = IsPureRelAlg(planned.query) ? CachedPlan::Route::kLazy
+                                              : CachedPlan::Route::kEager;
+    plan->query = std::move(planned.query);
+  }
+  plan->rewrite_nodes = tally.count();
+  return std::shared_ptr<const CachedPlan>(std::move(plan));
+}
+
+// PlanHybridRoute behind the memo's plan entries. The key is the memo's
+// (query, state) key mixed with every planner input that can change the
+// decision. A hit replays the recorded rewrite-node charge, so a budget
+// that would trip during planning still trips, and the fallback lattice
+// sees the same error as on a cold run.
+Result<std::shared_ptr<const CachedPlan>> HybridRouteFor(
+    const QueryPtr& query, const Database& db, const Schema& schema,
+    const PlannerOptions& options, uint64_t state_fingerprint) {
+  if (options.memo == nullptr) {
+    return PlanHybridRoute(query, db, schema, options);
+  }
+  uint64_t key = MemoKey(query->Fingerprint(), state_fingerprint);
+  key = HashCombine(key, std::bit_cast<uint64_t>(options.reuse_count));
+  key = HashCombine(key, std::bit_cast<uint64_t>(options.max_lazy_tree_size));
+  key = HashCombine(key,
+                    std::bit_cast<uint64_t>(options.delta_fraction_threshold));
+  key = HashCombine(key, options.simplify ? 1 : 0);
+  if (std::shared_ptr<const CachedPlan> hit = options.memo->LookupPlan(key)) {
+    if (hit->rewrite_nodes > 0) {
+      HQL_RETURN_IF_ERROR(GovernorChargeRewriteNodes(hit->rewrite_nodes));
+    }
+    return hit;
+  }
+  HQL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
+                       PlanHybridRoute(query, db, schema, options));
+  // The delta check swallows ToModEnf's errors; a trip it swallowed must
+  // not leave a decision made under it behind.
+  ExecGovernor* gov = CurrentGovernor();
+  if (gov == nullptr || !gov->tripped()) options.memo->InsertPlan(key, plan);
+  return plan;
+}
+
 // The strategy switch, run under whatever governor is ambient. Fallback and
 // governor installation live in the public Execute wrapper below.
 Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
@@ -343,21 +415,12 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
       return RunFilter3(query, db, schema, f3);
     }
     case Strategy::kHybrid: {
-      StatsCatalog stats = StatsCatalog::FromDatabase(db);
-      // Delta route: if every state is an atomic update chain (mod-ENF)
-      // and the estimated change is a small fraction of the data, HQL-3's
-      // streaming operators beat both substitution and xsub
-      // materialization (Section 5.5).
-      if (options.delta_fraction_threshold > 0 &&
-          !IsPureRelAlg(query) && ToModEnf(query, schema).ok()) {
-        CardinalityEstimator estimator(stats);
-        double materialization = 0;
-        double affected_base = 0;
-        CollectStateLoad(query, stats, estimator, &materialization,
-                         &affected_base);
-        if (affected_base > 0 &&
-            materialization <
-                options.delta_fraction_threshold * affected_base) {
+      const uint64_t state_fingerprint = FingerprintState(db);
+      HQL_ASSIGN_OR_RETURN(
+          std::shared_ptr<const CachedPlan> plan,
+          HybridRouteFor(query, db, schema, options, state_fingerprint));
+      switch (plan->route) {
+        case CachedPlan::Route::kDelta: {
           ExecRouteScope route("hybrid-delta");
           AmbientExecContext().NoteRoute("hybrid-delta");
           Filter3Options f3;
@@ -365,20 +428,21 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
           f3.columnar = ccfg;
           return RunFilter3(query, db, schema, f3);
         }
+        case CachedPlan::Route::kLazy: {
+          ExecRouteScope route("hybrid-lazy");
+          AmbientExecContext().NoteRoute("hybrid-lazy");
+          DatabaseResolver resolver(db);
+          return EvalRaIncremental(
+              plan->query, db, resolver,
+              EvalMemo{options.memo, state_fingerprint, icfg, ccfg}, options);
+        }
+        case CachedPlan::Route::kEager: {
+          ExecRouteScope route("hybrid-eager");
+          AmbientExecContext().NoteRoute("hybrid-eager");
+          return RunFilter2(plan->query, db, schema);
+        }
       }
-      HQL_ASSIGN_OR_RETURN(Plan plan,
-                           PlanHybrid(query, schema, stats, options));
-      if (IsPureRelAlg(plan.query)) {
-        ExecRouteScope route("hybrid-lazy");
-        AmbientExecContext().NoteRoute("hybrid-lazy");
-        DatabaseResolver resolver(db);
-        return EvalRaIncremental(
-            plan.query, db, resolver,
-            EvalMemo{options.memo, FingerprintState(db), icfg, ccfg}, options);
-      }
-      ExecRouteScope route("hybrid-eager");
-      AmbientExecContext().NoteRoute("hybrid-eager");
-      return RunFilter2(plan.query, db, schema);
+      return Status::Internal("unknown hybrid route");
     }
   }
   return Status::Internal("unknown strategy");

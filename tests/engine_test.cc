@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -443,6 +444,215 @@ TEST(SessionFacadeTest, ConcurrentSessionsShareNothingObservable) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario-tree slots and the engine-wide plan cache
+
+// Derive/drop churn around a fixed tree: every cycle drops a subtree that
+// sits *before* live nodes, so their slots and parent indices shift.
+TEST(SessionTreeTest, DeriveDropCyclesLeaveNoSlotsBehind) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr churned, engine.CreateSession());
+  ASSERT_OK_AND_ASSIGN(SessionPtr fresh, engine.CreateSession());
+  for (Session* s : {churned.get(), fresh.get()}) {
+    ASSERT_OK(s->Derive("root", "a", H("{ins(emp, {(4, 20)})}")));
+    ASSERT_OK(s->Derive("a", "b", H("{del(emp, {(1, 10)})}")));
+  }
+  HypoExprPtr edge = H("{ins(emp, {(9, 10)})}");
+  for (int cycle = 0; cycle < 20000; ++cycle) {
+    ASSERT_OK(churned->Derive("root", "x", edge));
+    ASSERT_OK(churned->Derive("x", "x1", edge));
+    ASSERT_OK(churned->Derive("a", "y", edge));
+    ASSERT_OK(churned->Derive("y", "z", edge));
+    ASSERT_OK(churned->Drop("x"));
+    ASSERT_OK(churned->Drop("y"));
+  }
+  ASSERT_OK(churned->Derive("b", "c", H("{ins(dept, {(30, 300)})}")));
+  ASSERT_OK(fresh->Derive("b", "c", H("{ins(dept, {(30, 300)})}")));
+
+  EXPECT_EQ(churned->NumNodes(), 4u);
+  std::vector<ScenarioInfo> got = churned->Nodes();
+  std::vector<ScenarioInfo> want = fresh->Nodes();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].parent, want[i].parent);
+    EXPECT_EQ(got[i].materialized, want[i].materialized);
+  }
+  QueryPtr q = Q("emp join[$1 = $2] dept");
+  for (const char* node : {"root", "a", "b", "c"}) {
+    ASSERT_OK_AND_ASSIGN(Relation a, churned->Query(node, q));
+    ASSERT_OK_AND_ASSIGN(Relation b, fresh->Query(node, q));
+    EXPECT_EQ(a, b) << node;
+  }
+  EXPECT_EQ(churned->Query("z", q).status().code(), StatusCode::kNotFound);
+}
+
+// One thread derives and drops `x` (shifting slots with a sibling) while
+// another queries it: each answer is x's or NotFound, never the root's or a
+// sibling's.
+TEST(SessionDropRaceTest, QueriesSeeTheNodeOrNotFound) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  HypoExprPtr pad = H("{ins(emp, {(7, 10)})}");
+  HypoExprPtr edge = H("{ins(emp, {(100, 10)})}");
+  QueryPtr q = Q("emp");
+  ASSERT_OK(s->Derive("root", "x", edge));
+  ASSERT_OK_AND_ASSIGN(Relation expected, s->Query("x", q));
+  ASSERT_OK(s->Drop("x"));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    while (!done.load()) {
+      if (!s->Derive("root", "pad", pad).ok()) ++failures;
+      if (!s->Derive("root", "x", edge).ok()) ++failures;
+      if (!s->Drop("pad").ok()) ++failures;
+      if (!s->Drop("x").ok()) ++failures;
+    }
+  });
+  // Run until both outcomes have been seen often (bounded, so a starved
+  // writer cannot hang the test).
+  int found = 0;
+  int missing = 0;
+  for (int i = 0; i < 200000 && (i < 2000 || found < 100 || missing < 100);
+       ++i) {
+    Result<Relation> r = s->Query("x", q);
+    if (r.ok()) {
+      ++found;
+      if (r.value() != expected) ++failures;
+    } else if (r.status().code() == StatusCode::kNotFound) {
+      ++missing;
+    } else {
+      ++failures;
+    }
+  }
+  done.store(true);
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// The plan-cache traffic one query adds to the session's stats.
+struct PlanTraffic {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+PlanTraffic QueryTraffic(Session* s, const std::string& node,
+                         const QueryPtr& q) {
+  ExecStats before = s->Stats();
+  Result<Relation> r = s->Query(node, q);
+  HQL_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+  ExecStats after = s->Stats();
+  return PlanTraffic{after.plan_cache_hits - before.plan_cache_hits,
+                     after.plan_cache_misses - before.plan_cache_misses};
+}
+
+TEST(PlanCacheSessionTest, EditRefreshAndKeyedKnobsMiss) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK(s->Derive("root", "hire", H("{ins(emp, {(4, 20)})}")));
+  QueryPtr q = Q("sigma[$1 = 20](emp) join[$1 = $2] dept");
+  // Admitted on the second miss, served from the third query on.
+  EXPECT_EQ(QueryTraffic(s.get(), "hire", q).misses, 1u);
+  EXPECT_EQ(QueryTraffic(s.get(), "hire", q).misses, 1u);
+  EXPECT_EQ(QueryTraffic(s.get(), "hire", q).hits, 1u);
+
+  ASSERT_OK(s->Edit("hire", H("{ins(emp, {(5, 20)})}")));
+  PlanTraffic edited = QueryTraffic(s.get(), "hire", q);
+  EXPECT_EQ(edited.hits, 0u);
+  EXPECT_EQ(edited.misses, 1u);
+
+  ASSERT_OK(engine.Apply(ParseUpdate("ins(dept, {(30, 300)})").value()));
+  ASSERT_OK(s->Refresh());
+  EXPECT_EQ(QueryTraffic(s.get(), "hire", q).hits, 0u);
+
+  for (auto [knob, value] : {std::pair{"reuse_count", "4"},
+                             std::pair{"max_lazy_tree_size", "5000"},
+                             std::pair{"delta_fraction", "0.5"}}) {
+    ASSERT_OK(s->Set(knob, value));
+    PlanTraffic t = QueryTraffic(s.get(), "hire", q);
+    EXPECT_EQ(t.hits, 0u) << knob;
+    EXPECT_EQ(t.misses, 1u) << knob;
+  }
+  QueryTraffic(s.get(), "hire", q);
+  EXPECT_EQ(QueryTraffic(s.get(), "hire", q).hits, 1u);
+}
+
+TEST(PlanCacheSessionTest, MemoOffNeverHits) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK(s->Set("memo", "off"));
+  ASSERT_OK(s->Derive("root", "hire", H("{ins(emp, {(4, 20)})}")));
+  QueryPtr q = Q("emp join[$1 = $2] dept");
+  for (int i = 0; i < 3; ++i) {
+    PlanTraffic t = QueryTraffic(s.get(), "hire", q);
+    EXPECT_EQ(t.hits, 0u);
+    EXPECT_EQ(t.misses, 0u);
+  }
+  EXPECT_EQ(engine.memo().plan_stats().entries, 0u);
+}
+
+TEST(PlanCacheSessionTest, EightSessionsQueryOneFamilyConcurrently) {
+  Engine engine(SmallDb());
+  const std::vector<std::pair<std::string, std::string>> tree = {
+      {"root", "hire"}, {"hire", "fire"}, {"root", "move"}};
+  const std::vector<HypoExprPtr> edges = {H("{ins(emp, {(4, 20)})}"),
+                                          H("{del(emp, {(1, 10)})}"),
+                                          H("{ins(dept, {(10, 150)})}")};
+  const std::vector<QueryPtr> family = {
+      Q("emp"), Q("sigma[$1 = 20](emp) join[$1 = $2] dept"),
+      Q("pi[1](emp)"), Q("gamma[1; count(0)](emp)")};
+  const std::vector<std::string> nodes = {"root", "hire", "fire", "move"};
+
+  // Reference answers from a direct-semantics session.
+  ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession("ref"));
+  ASSERT_OK(ref->Set("strategy", "direct"));
+  for (size_t e = 0; e < tree.size(); ++e) {
+    ASSERT_OK(ref->Derive(tree[e].first, tree[e].second, edges[e]));
+  }
+  std::vector<Relation> expected;
+  for (const std::string& node : nodes) {
+    for (const QueryPtr& q : family) {
+      ASSERT_OK_AND_ASSIGN(Relation r, ref->Query(node, q));
+      expected.push_back(std::move(r));
+    }
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<SessionPtr> sessions;
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_OK_AND_ASSIGN(SessionPtr s,
+                         engine.CreateSession("t" + std::to_string(i)));
+    for (size_t e = 0; e < tree.size(); ++e) {
+      ASSERT_OK(s->Derive(tree[e].first, tree[e].second, edges[e]));
+    }
+    sessions.push_back(std::move(s));
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      Session& s = *sessions[static_cast<size_t>(i)];
+      for (int round = 0; round < 10; ++round) {
+        for (size_t n = 0; n < nodes.size(); ++n) {
+          for (size_t f = 0; f < family.size(); ++f) {
+            Result<Relation> r = s.Query(nodes[n], family[f]);
+            if (!r.ok() || r.value() != expected[n * family.size() + f]) {
+              ++failures;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  LruStats plans = engine.memo().plan_stats();
+  EXPECT_LE(plans.entries, nodes.size() * family.size());
+  EXPECT_GE(plans.hits, static_cast<uint64_t>(kThreads) * 9 * nodes.size() *
+                            family.size());
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include "ast/builders.h"
 #include "ast/metrics.h"
+#include "common/exec_context.h"
+#include "common/governor.h"
 #include "common/rng.h"
 #include "eval/direct.h"
+#include "eval/memo.h"
 #include "opt/estimator.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -235,6 +238,181 @@ TEST(PlannerTest, DeltaRoutePreservesSemantics) {
                          Execute(q, db, schema, Strategy::kDirect));
     EXPECT_EQ(with_route, reference) << q->ToString();
     EXPECT_EQ(without_route, reference) << q->ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Plan entries on the memo: the hybrid route's decision, cached per
+// (query, state, planner inputs).
+
+struct Traced {
+  Result<Relation> result = Status::Internal("never ran");
+  ExecStats stats;
+};
+
+Traced ExecuteHybridTraced(const QueryPtr& q, const Database& db,
+                           const PlannerOptions& options) {
+  ExecContext ctx;
+  Traced out;
+  {
+    ExecContextScope scope(&ctx);
+    out.result = Execute(q, db, db.schema(), Strategy::kHybrid, options);
+  }
+  out.stats = ctx.Snapshot();
+  return out;
+}
+
+Database PlanCacheDb() {
+  Database db(MakeSchema({{"R", 2}, {"S", 2}}));
+  HQL_CHECK(db.Set("R", Ints({{1, 10}, {2, 20}, {3, 30}})).ok());
+  HQL_CHECK(db.Set("S", Ints({{4, 40}})).ok());
+  return db;
+}
+
+// A cheap substitution: the hybrid route plans it lazy, and evaluation
+// charges no rewrite nodes of its own.
+QueryPtr PlanCacheQuery() {
+  return When(Sel(Gt(Col(0), Int(1)), Rel("R")), Upd(Ins("R", Rel("S"))));
+}
+
+TEST(PlanCacheTest, WarmHitIsBitIdenticalToCold) {
+  Rng rng(1997);
+  Schema schema = PropertySchema();
+  AstGenOptions gen;
+  gen.max_depth = 3;
+  MemoCache memo;
+  PlannerOptions options;
+  options.memo = &memo;
+  for (int trial = 0; trial < 100; ++trial) {
+    Database db = RandomDatabase(&rng, schema, 8, 8);
+    QueryPtr q = Query::When(RandomQuery(&rng, schema, 2, gen),
+                             RandomHypo(&rng, schema, gen));
+    // A plan is admitted on its key's second miss and served from the
+    // third run on.
+    Traced cold = ExecuteHybridTraced(q, db, options);
+    Traced admit = ExecuteHybridTraced(q, db, options);
+    Traced warm = ExecuteHybridTraced(q, db, options);
+    ASSERT_OK(cold.result.status());
+    ASSERT_OK(warm.result.status());
+    EXPECT_EQ(cold.stats.plan_cache_misses, 1u) << q->ToString();
+    EXPECT_EQ(admit.stats.plan_cache_misses, 1u) << q->ToString();
+    EXPECT_EQ(warm.stats.plan_cache_hits, 1u) << q->ToString();
+    EXPECT_EQ(warm.stats.plan_cache_misses, 0u) << q->ToString();
+    EXPECT_EQ(warm.stats.route, cold.stats.route) << q->ToString();
+    EXPECT_EQ(warm.result.value(), cold.result.value()) << q->ToString();
+    EXPECT_EQ(warm.result.value().Hash(), cold.result.value().Hash());
+    ASSERT_OK_AND_ASSIGN(Relation reference,
+                         Execute(q, db, schema, Strategy::kDirect));
+    EXPECT_EQ(warm.result.value(), reference) << q->ToString();
+  }
+}
+
+TEST(PlanCacheTest, StateAndEveryKeyedInputMiss) {
+  Database db = PlanCacheDb();
+  QueryPtr q = PlanCacheQuery();
+  MemoCache memo;
+  PlannerOptions options;
+  options.memo = &memo;
+  ExecuteHybridTraced(q, db, options);
+  EXPECT_EQ(memo.plan_stats().entries, 0u);  // not yet admitted
+  ExecuteHybridTraced(q, db, options);
+  EXPECT_EQ(memo.plan_stats().entries, 1u);
+  EXPECT_EQ(ExecuteHybridTraced(q, db, options).stats.plan_cache_hits, 1u);
+
+  auto misses = [&](const Database& d, const PlannerOptions& o) {
+    ExecStats stats = ExecuteHybridTraced(q, d, o).stats;
+    return stats.plan_cache_misses == 1 && stats.plan_cache_hits == 0;
+  };
+  PlannerOptions reuse = options;
+  reuse.reuse_count = 4.0;
+  EXPECT_TRUE(misses(db, reuse));
+  PlannerOptions tree = options;
+  tree.max_lazy_tree_size = 50.0;
+  EXPECT_TRUE(misses(db, tree));
+  PlannerOptions delta = options;
+  delta.delta_fraction_threshold = 0.5;
+  EXPECT_TRUE(misses(db, delta));
+  PlannerOptions raw = options;
+  raw.simplify = false;
+  EXPECT_TRUE(misses(db, raw));
+  Database edited = db;
+  ASSERT_OK(edited.Set("S", Ints({{5, 50}})));
+  EXPECT_TRUE(misses(edited, options));
+  // Options the plan does not depend on share the entry.
+  PlannerOptions columnar = options;
+  columnar.columnar_mode = ColumnarMode::kAuto;
+  EXPECT_EQ(ExecuteHybridTraced(q, db, columnar).stats.plan_cache_hits, 1u);
+}
+
+TEST(PlanCacheTest, MemoOffNeverConsultsPlanEntries) {
+  Database db = PlanCacheDb();
+  QueryPtr q = PlanCacheQuery();
+  for (int i = 0; i < 3; ++i) {
+    Traced run = ExecuteHybridTraced(q, db, PlannerOptions());
+    ASSERT_OK(run.result.status());
+    EXPECT_EQ(run.stats.plan_cache_hits, 0u);
+    EXPECT_EQ(run.stats.plan_cache_misses, 0u);
+  }
+  // A zero-capacity memo keeps no plans either.
+  MemoCache off(0);
+  PlannerOptions options;
+  options.memo = &off;
+  ExecuteHybridTraced(q, db, options);
+  ExecuteHybridTraced(q, db, options);
+  EXPECT_EQ(ExecuteHybridTraced(q, db, options).stats.plan_cache_hits, 0u);
+  EXPECT_EQ(off.plan_stats().entries, 0u);
+}
+
+// A plan cached without a budget, then served under a rewrite budget below
+// the charge it recorded, must fail, fall back and answer exactly as a
+// cold planning under that budget does.
+TEST(PlanCacheTest, HitReplaysTheRecordedRewriteCharge) {
+  Database db = PlanCacheDb();
+  QueryPtr q = PlanCacheQuery();
+  uint64_t charge = 0;
+  {
+    RewriteNodeTally tally;
+    ASSERT_OK(Execute(q, db, db.schema(), Strategy::kHybrid).status());
+    charge = tally.count();
+  }
+  ASSERT_GE(charge, 2u);
+  for (uint64_t budget : {charge - 1, charge}) {
+    SCOPED_TRACE(budget);
+    PlannerOptions budgeted;
+    budgeted.budget.max_rewrite_nodes = budget;
+    MemoCache fresh;
+    budgeted.memo = &fresh;
+    Traced cold = ExecuteHybridTraced(q, db, budgeted);
+    ExecuteHybridTraced(q, db, budgeted);  // would admit an untripped plan
+
+    MemoCache primed;
+    PlannerOptions unbudgeted;
+    unbudgeted.memo = &primed;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_OK(ExecuteHybridTraced(q, db, unbudgeted).result.status());
+    }
+    budgeted.memo = &primed;
+    Traced warm = ExecuteHybridTraced(q, db, budgeted);
+
+    EXPECT_EQ(warm.stats.plan_cache_hits, 1u);
+    EXPECT_EQ(warm.result.status().code(), cold.result.status().code());
+    EXPECT_EQ(warm.result.status().message(), cold.result.status().message());
+    EXPECT_EQ(warm.stats.governor_rewrite_trips,
+              cold.stats.governor_rewrite_trips);
+    EXPECT_EQ(warm.stats.governor_lazy_fallbacks,
+              cold.stats.governor_lazy_fallbacks);
+    EXPECT_EQ(warm.stats.route, cold.stats.route);
+    if (cold.result.ok() && warm.result.ok()) {
+      EXPECT_EQ(warm.result.value(), cold.result.value());
+    }
+    if (budget < charge) {
+      // The cold plannings tripped, so they left no entry behind.
+      EXPECT_GE(cold.stats.governor_rewrite_trips, 1u);
+      EXPECT_EQ(fresh.plan_stats().entries, 0u);
+    } else {
+      EXPECT_EQ(cold.stats.governor_rewrite_trips, 0u);
+      EXPECT_EQ(fresh.plan_stats().entries, 1u);
+    }
   }
 }
 
