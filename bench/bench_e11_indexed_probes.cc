@@ -25,6 +25,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "ast/builders.h"
@@ -101,12 +102,11 @@ void CheckAndExport(benchmark::State& state,
                   "indexed and scan routes must agree bit-identically");
   }
   ExecStats after = ctx.Snapshot();
-  state.counters["indexes_built"] = static_cast<double>(after.indexes_built);
-  state.counters["indexes_shared"] =
-      static_cast<double>(after.indexes_shared);
-  state.counters["index_probes"] = static_cast<double>(after.index_probes);
-  state.counters["tuples_skipped"] =
-      static_cast<double>(after.index_tuples_skipped);
+  for (const ExecCounterInfo& c : kExecCounters) {
+    if (std::string_view(c.group) == "indexes") {
+      state.counters[c.key] = static_cast<double>(after[c.counter]);
+    }
+  }
 }
 
 // Equality on a key present in the data (the median base tuple's), so the

@@ -7,9 +7,10 @@
 //                               "benchmarks" array whose entries carry a
 //                               "name" and a numeric "real_time".
 //   * BENCH_<name>_stats.json — an ExecStats::ToJson sidecar: schema
-//                               marker "hql-exec-stats/v1", the counter
-//                               fields as numbers, a "route" string and a
-//                               "spans" array.
+//                               marker "hql-exec-stats/v1", exactly the
+//                               counters of HQL_EXEC_COUNTERS as numbers
+//                               (no extra or stale keys), a "route" string
+//                               and a "spans" array.
 //
 // Usage: check_bench_json FILE...   (exits non-zero on the first failure)
 
@@ -18,56 +19,32 @@
 #include <sstream>
 #include <string>
 
+#include "common/exec_context.h"
 #include "common/json.h"
 
 namespace hql {
 namespace {
 
-constexpr const char* kStatsCounters[] = {
-    "memo_hits",
-    "memo_misses",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "views_created",
-    "view_consolidations",
-    "view_tuples_shared",
-    "view_tuples_copied",
-    "indexes_built",
-    "indexes_shared",
-    "index_probes",
-    "index_tuples_skipped",
-    "governor_deadline_trips",
-    "governor_tuple_trips",
-    "governor_rewrite_trips",
-    "governor_cancellations",
-    "governor_lazy_fallbacks",
-    "governor_index_fallbacks",
-    "governor_max_tuples_charged",
-    "governor_max_rewrite_nodes_charged",
-    "columnar_batches_built",
-    "columnar_batches_reused",
-    "columnar_morsels_dispatched",
-    "columnar_rows_vectorized",
-    "columnar_rows_fallback",
-    "columnar_agg_rows_vectorized",
-    "columnar_agg_groups",
-    "columnar_when_routed",
-    "incremental_results_patched",
-    "incremental_edits_propagated",
-    "incremental_fallbacks",
-};
-
 Status CheckStatsSidecar(const JsonPtr& root) {
-  for (const char* key : kStatsCounters) {
-    JsonPtr field = root->Get(key);
+  for (const ExecCounterInfo& c : kExecCounters) {
+    JsonPtr field = root->Get(c.key);
     if (field == nullptr || !field->is_number()) {
       return Status::InvalidArgument(std::string("stats sidecar: missing or "
                                                  "non-numeric counter \"") +
-                                     key + "\"");
+                                     c.key + "\"");
     }
     if (field->number() < 0) {
       return Status::InvalidArgument(std::string("stats sidecar: negative "
                                                  "counter \"") +
+                                     c.key + "\"");
+    }
+  }
+  // The counter keys are exactly the list: an extra or stale key fails.
+  for (const auto& [key, value] : root->fields()) {
+    bool known = key == "schema" || key == "route" || key == "spans";
+    for (const ExecCounterInfo& c : kExecCounters) known |= key == c.key;
+    if (!known) {
+      return Status::InvalidArgument("stats sidecar: unknown counter \"" +
                                      key + "\"");
     }
   }

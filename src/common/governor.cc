@@ -16,10 +16,6 @@ thread_local RewriteNodeTally* t_rewrite_tally = nullptr;
 
 }  // namespace
 
-void AddLazyFallback() { AmbientExecContext().AddLazyFallback(); }
-
-void AddIndexFallback() { AmbientExecContext().AddIndexFallback(); }
-
 ExecGovernor::ExecGovernor(const ExecBudget& budget, CancelTokenPtr cancel,
                            CancelTokenPtr cancel2)
     : budget_(budget),
@@ -28,16 +24,22 @@ ExecGovernor::ExecGovernor(const ExecBudget& budget, CancelTokenPtr cancel,
   if (budget_.check_interval == 0) budget_.check_interval = 1;
   if (budget_.deadline_ms > 0) {
     has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(budget_.deadline_ms);
+    // A deadline past the clock's range saturates instead of overflowing.
+    auto now = std::chrono::steady_clock::now();
+    auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::time_point::max() - now);
+    deadline_ = now + std::min(std::chrono::milliseconds(budget_.deadline_ms),
+                               headroom);
   }
   next_check_.store(budget_.check_interval, std::memory_order_relaxed);
 }
 
 ExecGovernor::~ExecGovernor() {
   ExecContext& ctx = AmbientExecContext();
-  ctx.RaiseTuplesCharged(tuples_.load(std::memory_order_relaxed));
-  ctx.RaiseRewriteNodesCharged(rewrite_nodes_.load(std::memory_order_relaxed));
+  ctx.RaiseHighWater(ExecCounter::kGovernorMaxTuplesCharged,
+                     tuples_.load(std::memory_order_relaxed));
+  ctx.RaiseHighWater(ExecCounter::kGovernorMaxRewriteNodesCharged,
+                     rewrite_nodes_.load(std::memory_order_relaxed));
 }
 
 void ExecGovernor::Trip(StatusCode code, std::string message) {
@@ -47,7 +49,7 @@ void ExecGovernor::Trip(StatusCode code, std::string message) {
   if (tripped_.load(std::memory_order_relaxed)) return;  // first trip wins
   trip_status_ = Status(code, std::move(message));
   if (code == StatusCode::kCancelled) {
-    AmbientExecContext().AddGovernorTrip(GovernorTripKind::kCancelled);
+    AmbientExecContext().Add(ExecCounter::kGovernorCancellations);
   }
   tripped_.store(true, std::memory_order_release);
 }
@@ -66,7 +68,7 @@ bool ExecGovernor::SlowCheck() {
     return false;
   }
   if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
-    AmbientExecContext().AddGovernorTrip(GovernorTripKind::kDeadline);
+    AmbientExecContext().Add(ExecCounter::kGovernorDeadlineTrips);
     Trip(StatusCode::kResourceExhausted,
          StrFormat("deadline of %lld ms exceeded",
                    static_cast<long long>(budget_.deadline_ms)));
@@ -79,7 +81,7 @@ bool ExecGovernor::ChargeTuples(uint64_t n) {
   if (tripped()) return false;
   uint64_t total = tuples_.fetch_add(n, std::memory_order_relaxed) + n;
   if (budget_.max_tuples != 0 && total > budget_.max_tuples) {
-    AmbientExecContext().AddGovernorTrip(GovernorTripKind::kTupleBudget);
+    AmbientExecContext().Add(ExecCounter::kGovernorTupleTrips);
     Trip(StatusCode::kResourceExhausted,
          StrFormat("tuple budget of %llu exceeded",
                    static_cast<unsigned long long>(budget_.max_tuples)));
@@ -104,8 +106,8 @@ bool ExecGovernor::ChargeRewriteNodes(uint64_t n) {
   uint64_t total = rewrite_nodes_.fetch_add(n, std::memory_order_relaxed) + n;
   if (budget_.max_rewrite_nodes != 0 && total > budget_.max_rewrite_nodes) {
     ExecContext& ctx = AmbientExecContext();
-    ctx.AddGovernorTrip(GovernorTripKind::kRewriteBudget);
-    ctx.RaiseRewriteNodesCharged(total);
+    ctx.Add(ExecCounter::kGovernorRewriteTrips);
+    ctx.RaiseHighWater(ExecCounter::kGovernorMaxRewriteNodesCharged, total);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!tripped_.load(std::memory_order_relaxed)) {

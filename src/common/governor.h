@@ -87,15 +87,10 @@ struct ExecBudget {
   }
 };
 
-// Governor charges land on the ambient ExecContext
-// (common/exec_context.h): governor_*_trips, governor_cancellations,
-// governor_*_fallbacks, and the governor_max_*_charged high-water marks.
-// Install an ExecContextScope and read Snapshot() to observe them.
-
-/// Records a planner lazy->hybrid/eager fallback (planner.cc).
-void AddLazyFallback();
-/// Records an index build degraded to scans (index_exec.cc).
-void AddIndexFallback();
+// Governor charges land on the ambient ExecContext's "governor" counters
+// (common/exec_context.h): trips, cancellations, lazy and index fallbacks,
+// and the high-water marks of the tuple and rewrite-node budgets. Install
+// an ExecContextScope and read Snapshot() to observe them.
 
 class ExecGovernor {
  public:

@@ -291,11 +291,14 @@ Result<RelationView> EvalFilterDNode(
         std::optional<Relation> col =
             TryColumnarFilter(in, query->predicate(), columnar);
         if (col.has_value()) {
-          if (p != nullptr) AmbientExecContext().AddColumnarWhenRouted();
+          if (p != nullptr) {
+            AmbientExecContext().Add(ExecCounter::kColumnarWhenRouted);
+          }
           return RelationView(*std::move(col));
         }
         if (columnar.enabled()) {
-          AmbientExecContext().AddColumnarRowsFallback(in.size());
+          AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback,
+                                   in.size());
         }
         if (stored.is_flat()) {
           // A delta that canonicalized to nothing streams the flat base
@@ -376,12 +379,13 @@ Result<RelationView> EvalFilterDNode(
             TryColumnarJoin(l, r, query->predicate(), columnar);
         if (col.has_value()) {
           if (pl != nullptr || pr != nullptr) {
-            AmbientExecContext().AddColumnarWhenRouted();
+            AmbientExecContext().Add(ExecCounter::kColumnarWhenRouted);
           }
           return RelationView(*std::move(col));
         }
         if (columnar.enabled()) {
-          AmbientExecContext().AddColumnarRowsFallback(l.size() + r.size());
+          AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback,
+                                   l.size() + r.size());
         }
         if (lstored.is_flat() && rstored.is_flat()) {
           size_t lcol = 0, rcol = 0;

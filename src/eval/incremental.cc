@@ -567,7 +567,8 @@ Result<std::vector<Tuple>> DeltaPropagator::JoinEditAgainst(
         const std::vector<Tuple>& base_tuples = other.base()->tuples();
         for (const Tuple& e : edit) {
           RelationIndex::PosSpan span = index->Probe(edit_key(e));
-          AddIndexTuplesSkipped(base_tuples.size() - span.size());
+          AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
+                                   base_tuples.size() - span.size());
           for (uint32_t pos : span) {
             HQL_RETURN_IF_ERROR(TickGovernor());
             emit(e, base_tuples[pos]);
@@ -675,8 +676,9 @@ Result<RelationView> ApplyIncrementalPatch(const QueryPtr& query,
   if (cache != nullptr) cache->Insert(query->Fingerprint(), std::move(entry));
 
   ExecContext& ctx = AmbientExecContext();
-  ctx.AddIncrementalResultPatched();
-  ctx.AddIncrementalEditsPropagated(propagator.edits_propagated());
+  ctx.Add(ExecCounter::kIncrementalResultsPatched);
+  ctx.Add(ExecCounter::kIncrementalEditsPropagated,
+          propagator.edits_propagated());
   span.set_rows_out(root->new_view.size());
   return root->new_view;
 }

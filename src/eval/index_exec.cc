@@ -96,7 +96,7 @@ RelationIndexPtr LookupIndex(const RelationPtr& base,
       // paying the build.
       if (ExecGovernor* gov = CurrentGovernor();
           gov != nullptr && !gov->AllowIndexBuild(base->size())) {
-        AddIndexFallback();
+        AmbientExecContext().Add(ExecCounter::kGovernorIndexFallbacks);
         return base->ExistingIndex(columns);
       }
       return config.advisor->Advise(base, columns);
@@ -130,7 +130,8 @@ std::optional<Relation> TryIndexedFilter(const RelationView& input,
 
   TraceSpan trace("index-select", input.size());
   RelationIndex::PosSpan span = index->Probe(sarg->key);
-  AddIndexTuplesSkipped(base->size() - span.size());
+  AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
+                           base->size() - span.size());
 
   const std::vector<Tuple>& tuples = base->tuples();
   const std::vector<Tuple>& dels = input.dels();
@@ -246,7 +247,8 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
     }
   }
   uint64_t big_size = big.base()->size();
-  AddIndexTuplesSkipped(big_size > touched ? big_size - touched : 0);
+  AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
+                           big_size > touched ? big_size - touched : 0);
   trace.set_rows_out(out.size());
   return Relation::FromTuples(lhs.arity() + rhs.arity(), std::move(out));
 }

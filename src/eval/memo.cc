@@ -71,9 +71,9 @@ std::shared_ptr<const Relation> MemoCache::Lookup(uint64_t key) {
   // execution that caused it.
   std::shared_ptr<const Relation> hit = results_.Lookup(key);
   if (hit != nullptr) {
-    AmbientExecContext().AddMemoHit();
+    AmbientExecContext().Add(ExecCounter::kMemoHits);
   } else {
-    AmbientExecContext().AddMemoMiss();
+    AmbientExecContext().Add(ExecCounter::kMemoMisses);
   }
   return hit;
 }
@@ -86,9 +86,9 @@ void MemoCache::Insert(uint64_t key, std::shared_ptr<const Relation> value) {
 std::shared_ptr<const CachedPlan> MemoCache::LookupPlan(uint64_t key) {
   std::shared_ptr<const CachedPlan> hit = plans_.Lookup(key);
   if (hit != nullptr) {
-    AmbientExecContext().AddPlanCacheHit();
+    AmbientExecContext().Add(ExecCounter::kPlanCacheHits);
   } else {
-    AmbientExecContext().AddPlanCacheMiss();
+    AmbientExecContext().Add(ExecCounter::kPlanCacheMisses);
   }
   return hit;
 }

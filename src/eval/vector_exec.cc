@@ -514,8 +514,8 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
   std::set_union(matched.begin(), matched.end(), added.begin(), added.end(),
                  std::back_inserter(out), TupleLess());
   ExecContext& ctx = AmbientExecContext();
-  ctx.AddColumnarMorselsDispatched(num_morsels);
-  ctx.AddColumnarRowsVectorized(base_rows);
+  ctx.Add(ExecCounter::kColumnarMorselsDispatched, num_morsels);
+  ctx.Add(ExecCounter::kColumnarRowsVectorized, base_rows);
   span.set_rows_out(out.size());
   return Relation::FromSortedUnique(input.arity(), std::move(out));
 }
@@ -681,8 +681,8 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
     }
   }
   ExecContext& ctx = AmbientExecContext();
-  ctx.AddColumnarMorselsDispatched(num_morsels);
-  ctx.AddColumnarRowsVectorized(probe_rows);
+  ctx.Add(ExecCounter::kColumnarMorselsDispatched, num_morsels);
+  ctx.Add(ExecCounter::kColumnarRowsVectorized, probe_rows);
   span.set_rows_out(out.size());
   // FromTuples canonicalizes (sort + dedup), so any production order across
   // morsels yields the same relation the row join builds.
@@ -1189,9 +1189,9 @@ std::optional<Relation> TryColumnarAggregate(
       row.push_back(Value::Int(dense_min + static_cast<int64_t>(s)));
       if (!emit(std::move(row), accs[s])) break;
     }
-    ctx.AddColumnarMorselsDispatched(num_morsels);
-    ctx.AddColumnarAggRowsVectorized(base_rows);
-    ctx.AddColumnarAggGroups(out.size());
+    ctx.Add(ExecCounter::kColumnarMorselsDispatched, num_morsels);
+    ctx.Add(ExecCounter::kColumnarAggRowsVectorized, base_rows);
+    ctx.Add(ExecCounter::kColumnarAggGroups, out.size());
     span.set_rows_out(out.size());
     // Ascending dense slots are already canonical order; FromTuples just
     // verifies it (group keys are unique, so the dedup is a no-op).
@@ -1311,9 +1311,9 @@ std::optional<Relation> TryColumnarAggregate(
       if (!emit(std::move(row), acc)) break;
     }
   }
-  ctx.AddColumnarMorselsDispatched(num_morsels);
-  ctx.AddColumnarAggRowsVectorized(base_rows);
-  ctx.AddColumnarAggGroups(out.size());
+  ctx.Add(ExecCounter::kColumnarMorselsDispatched, num_morsels);
+  ctx.Add(ExecCounter::kColumnarAggRowsVectorized, base_rows);
+  ctx.Add(ExecCounter::kColumnarAggGroups, out.size());
   span.set_rows_out(out.size());
   // FromTuples canonicalizes (sort + dedup; group keys are unique, so the
   // dedup is a no-op), matching the row kernel's output order exactly.
@@ -1328,7 +1328,7 @@ Relation VectorizedAggregate(const RelationView& input,
       TryColumnarAggregate(input, group_columns, func, agg_column, columnar);
   if (col.has_value()) return *std::move(col);
   if (columnar.enabled()) {
-    AmbientExecContext().AddColumnarRowsFallback(input.size());
+    AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback, input.size());
   }
   return AggregateRelation(input, group_columns, func, agg_column);
 }
@@ -1342,7 +1342,7 @@ Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
   std::optional<Relation> col = TryColumnarFilter(input, pred, columnar);
   if (col.has_value()) return *std::move(col);
   if (columnar.enabled()) {
-    AmbientExecContext().AddColumnarRowsFallback(input.size());
+    AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback, input.size());
   }
   return FilterRelation(input, *pred);
 }
@@ -1355,7 +1355,8 @@ Relation VectorizedJoin(const RelationView& lhs, const RelationView& rhs,
   std::optional<Relation> col = TryColumnarJoin(lhs, rhs, pred, columnar);
   if (col.has_value()) return *std::move(col);
   if (columnar.enabled()) {
-    AmbientExecContext().AddColumnarRowsFallback(lhs.size() + rhs.size());
+    AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback,
+                             lhs.size() + rhs.size());
   }
   return JoinRelations(lhs, rhs, pred);
 }

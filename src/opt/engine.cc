@@ -1,7 +1,9 @@
 #include "opt/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "ast/hypo.h"
@@ -36,14 +38,25 @@ Result<double> ParseDoubleValue(const std::string& knob,
   if (end == nullptr || *end != '\0' || value.empty()) {
     return BadKnob(knob, value, "a number");
   }
+  // strtod accepts "nan" and "inf"; no knob means either, and NaN slips
+  // past every range comparison.
+  if (!std::isfinite(d)) return BadKnob(knob, value, "a finite number");
   return d;
 }
 
-Result<uint64_t> ParseCountValue(const std::string& knob,
-                                 const std::string& value) {
+/// A non-negative integer no larger than `max`. The range is checked on
+/// the double, before the cast, which is undefined for out-of-range values.
+Result<uint64_t> ParseCountValue(
+    const std::string& knob, const std::string& value,
+    uint64_t max = std::numeric_limits<uint64_t>::max()) {
   HQL_ASSIGN_OR_RETURN(double d, ParseDoubleValue(knob, value));
-  if (d < 0 || d != static_cast<double>(static_cast<uint64_t>(d))) {
-    return BadKnob(knob, value, "a non-negative integer");
+  // 2^64 is exact as a double; every smaller integral double fits.
+  if (d < 0 || d >= 18446744073709551616.0 || d != std::floor(d) ||
+      static_cast<uint64_t>(d) > max) {
+    return BadKnob(knob, value,
+                   StrFormat("an integer in [0, %llu]",
+                             static_cast<unsigned long long>(max))
+                       .c_str());
   }
   return static_cast<uint64_t>(d);
 }
@@ -195,7 +208,9 @@ Status EngineOptions::Set(const std::string& knob, const std::string& value) {
     return Status::OK();
   }
   if (knob == "deadline_ms") {
-    HQL_ASSIGN_OR_RETURN(uint64_t n, ParseCountValue(knob, value));
+    HQL_ASSIGN_OR_RETURN(
+        uint64_t n, ParseCountValue(knob, value,
+                                    std::numeric_limits<int64_t>::max()));
     budget.deadline_ms = static_cast<int64_t>(n);
     return Status::OK();
   }
@@ -217,16 +232,17 @@ Status EngineOptions::Set(const std::string& knob, const std::string& value) {
 }
 
 Status EngineOptions::Validate() const {
-  if (reuse_count < 0) {
-    return Status::InvalidArgument("reuse_count must be >= 0");
+  // Written so that NaN fails every check.
+  if (!(std::isfinite(reuse_count) && reuse_count >= 0)) {
+    return Status::InvalidArgument("reuse_count must be finite and >= 0");
   }
-  if (max_lazy_tree_size <= 0) {
-    return Status::InvalidArgument("max_lazy_tree_size must be > 0");
+  if (!(std::isfinite(max_lazy_tree_size) && max_lazy_tree_size > 0)) {
+    return Status::InvalidArgument("max_lazy_tree_size must be finite and > 0");
   }
-  if (delta_fraction_threshold < 0 || delta_fraction_threshold > 1) {
+  if (!(delta_fraction_threshold >= 0 && delta_fraction_threshold <= 1)) {
     return Status::InvalidArgument("delta_fraction must be in [0,1]");
   }
-  if (incremental_edit_fraction < 0 || incremental_edit_fraction > 1) {
+  if (!(incremental_edit_fraction >= 0 && incremental_edit_fraction <= 1)) {
     return Status::InvalidArgument("edit_fraction must be in [0,1]");
   }
   if (columnar_morsel_rows == 0) {

@@ -1,6 +1,7 @@
 #include "opt/explain.h"
 
 #include <chrono>
+#include <string_view>
 #include <utility>
 
 #include "ast/metrics.h"
@@ -19,80 +20,21 @@ namespace hql {
 
 namespace {
 
-// Fills the compatibility flat fields of an ExplainReport from a snapshot.
-void FillFromStats(const ExecStats& stats, ExplainReport* report) {
-  report->exec = stats;
-
-  report->views_created = stats.views_created;
-  report->view_consolidations = stats.view_consolidations;
-  report->view_tuples_shared = stats.view_tuples_shared;
-  report->view_tuples_copied = stats.view_tuples_copied;
-
-  report->indexes_built = stats.indexes_built;
-  report->indexes_shared = stats.indexes_shared;
-  report->index_probes = stats.index_probes;
-  report->index_tuples_skipped = stats.index_tuples_skipped;
-
-  report->governor_deadline_trips = stats.governor_deadline_trips;
-  report->governor_tuple_trips = stats.governor_tuple_trips;
-  report->governor_rewrite_trips = stats.governor_rewrite_trips;
-  report->governor_cancellations = stats.governor_cancellations;
-  report->governor_lazy_fallbacks = stats.governor_lazy_fallbacks;
-  report->governor_index_fallbacks = stats.governor_index_fallbacks;
-  report->governor_max_tuples_charged = stats.governor_max_tuples_charged;
-  report->governor_max_rewrite_nodes_charged =
-      stats.governor_max_rewrite_nodes_charged;
-}
-
+// The per-execution counters, one line per group of the counter list:
+// "group:      key=value key=value ...".
 std::string FormatExecCounters(const ExecStats& stats) {
   std::string out;
-  out += StrFormat(
-      "views:      %llu created, %llu consolidations; tuples %llu shared / "
-      "%llu copied\n",
-      static_cast<unsigned long long>(stats.views_created),
-      static_cast<unsigned long long>(stats.view_consolidations),
-      static_cast<unsigned long long>(stats.view_tuples_shared),
-      static_cast<unsigned long long>(stats.view_tuples_copied));
-  out += StrFormat(
-      "indexes:    %llu built, %llu shared; %llu probes skipping %llu "
-      "scan rows\n",
-      static_cast<unsigned long long>(stats.indexes_built),
-      static_cast<unsigned long long>(stats.indexes_shared),
-      static_cast<unsigned long long>(stats.index_probes),
-      static_cast<unsigned long long>(stats.index_tuples_skipped));
-  out += StrFormat(
-      "columnar:   %llu batches built, %llu reused; %llu morsels, "
-      "%llu rows vectorized / %llu fallback\n",
-      static_cast<unsigned long long>(stats.columnar_batches_built),
-      static_cast<unsigned long long>(stats.columnar_batches_reused),
-      static_cast<unsigned long long>(stats.columnar_morsels_dispatched),
-      static_cast<unsigned long long>(stats.columnar_rows_vectorized),
-      static_cast<unsigned long long>(stats.columnar_rows_fallback));
-  out += StrFormat(
-      "vectorized: agg %llu rows into %llu groups; %llu when-deltas "
-      "routed columnar\n",
-      static_cast<unsigned long long>(stats.columnar_agg_rows_vectorized),
-      static_cast<unsigned long long>(stats.columnar_agg_groups),
-      static_cast<unsigned long long>(stats.columnar_when_routed));
-  out += StrFormat(
-      "incremental: %llu results patched, %llu edit tuples propagated, "
-      "%llu fallbacks\n",
-      static_cast<unsigned long long>(stats.incremental_results_patched),
-      static_cast<unsigned long long>(stats.incremental_edits_propagated),
-      static_cast<unsigned long long>(stats.incremental_fallbacks));
-  out += StrFormat(
-      "governor:   trips %llu deadline / %llu tuple / %llu rewrite, "
-      "%llu cancellations; fallbacks %llu lazy / %llu index; peaks "
-      "%llu tuples, %llu rewrite nodes\n",
-      static_cast<unsigned long long>(stats.governor_deadline_trips),
-      static_cast<unsigned long long>(stats.governor_tuple_trips),
-      static_cast<unsigned long long>(stats.governor_rewrite_trips),
-      static_cast<unsigned long long>(stats.governor_cancellations),
-      static_cast<unsigned long long>(stats.governor_lazy_fallbacks),
-      static_cast<unsigned long long>(stats.governor_index_fallbacks),
-      static_cast<unsigned long long>(stats.governor_max_tuples_charged),
-      static_cast<unsigned long long>(
-          stats.governor_max_rewrite_nodes_charged));
+  std::string_view group;
+  for (const ExecCounterInfo& c : kExecCounters) {
+    if (c.group != group) {
+      if (!group.empty()) out += '\n';
+      group = c.group;
+      out += StrFormat("%-11s", (std::string(group) + ":").c_str());
+    }
+    out += StrFormat(" %s=%llu", c.key,
+                     static_cast<unsigned long long>(stats[c.counter]));
+  }
+  out += '\n';
   return out;
 }
 
@@ -143,7 +85,7 @@ Result<ExplainReport> Explain(const QueryPtr& query, const Schema& schema,
   ExplainReport report;
   HQL_ASSIGN_OR_RETURN(static_cast<PlanReport&>(report),
                        ExplainPlan(query, schema, stats));
-  FillFromStats(AmbientExecContext().Snapshot(), &report);
+  report.exec = AmbientExecContext().Snapshot();
 
   if (memo != nullptr) {
     MemoCache::Stats cache = memo->stats();
@@ -262,13 +204,6 @@ std::string FormatExplainAnalyze(const AnalyzeReport& report) {
       static_cast<unsigned long long>(report.actual_rows),
       static_cast<double>(report.wall_micros) / 1000.0,
       report.exec.route.empty() ? "(unrouted)" : report.exec.route.c_str());
-  out += StrFormat(
-      "exec:       memo %llu hits / %llu misses; plan cache %llu hits / "
-      "%llu misses\n",
-      static_cast<unsigned long long>(report.exec.memo_hits),
-      static_cast<unsigned long long>(report.exec.memo_misses),
-      static_cast<unsigned long long>(report.exec.plan_cache_hits),
-      static_cast<unsigned long long>(report.exec.plan_cache_misses));
   out += FormatExecCounters(report.exec);
   if (!report.exec.spans.empty()) {
     out += "spans:      operator          route          rows in -> out"

@@ -67,11 +67,9 @@ struct PlanReport {
   double state_materialization = 0;  // eager xsub tuples, all states
 };
 
-/// The combined view: static plan + a runtime snapshot. The runtime
-/// counters are duplicated as flat fields (filled from `exec`) so existing
-/// readers keep compiling; new code should read `exec` directly.
+/// The combined view: static plan + a runtime snapshot.
 struct ExplainReport : PlanReport {
-  // The execution-stats snapshot the flat fields below were filled from.
+  // The ambient context's execution-stats snapshot.
   ExecStats exec;
 
   // Memoizing subplan cache (populated when Explain is given one; these
@@ -87,28 +85,6 @@ struct ExplainReport : PlanReport {
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_entries = 0;
-
-  // Copy-on-write view layer (see ExecStats).
-  uint64_t views_created = 0;
-  uint64_t view_consolidations = 0;
-  uint64_t view_tuples_shared = 0;
-  uint64_t view_tuples_copied = 0;
-
-  // Secondary indexes (see ExecStats).
-  uint64_t indexes_built = 0;
-  uint64_t indexes_shared = 0;
-  uint64_t index_probes = 0;
-  uint64_t index_tuples_skipped = 0;
-
-  // Execution governor (see ExecStats).
-  uint64_t governor_deadline_trips = 0;
-  uint64_t governor_tuple_trips = 0;
-  uint64_t governor_rewrite_trips = 0;
-  uint64_t governor_cancellations = 0;
-  uint64_t governor_lazy_fallbacks = 0;
-  uint64_t governor_index_fallbacks = 0;
-  uint64_t governor_max_tuples_charged = 0;
-  uint64_t governor_max_rewrite_nodes_charged = 0;
 };
 
 /// Builds the static half only — no counters are read, nothing executes.
@@ -118,9 +94,8 @@ Result<PlanReport> ExplainPlan(const QueryPtr& query, const Schema& schema,
                                const StatsCatalog& stats);
 
 /// Builds the combined report: ExplainPlan plus a snapshot of the ambient
-/// ExecContext (the thread's installed context, else the process default —
-/// where the deprecated Global*Stats shims charge). A non-null `memo` adds
-/// the cache's hit/miss/eviction counters.
+/// ExecContext (the thread's installed context, else the process default).
+/// A non-null `memo` adds the cache's hit/miss/eviction counters.
 Result<ExplainReport> Explain(const QueryPtr& query, const Schema& schema,
                               const StatsCatalog& stats,
                               const MemoCache* memo = nullptr);

@@ -286,7 +286,7 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
     }
     // A warm cache that could not serve this execution is the interesting
     // signal; a cold one is just the first run.
-    AmbientExecContext().AddIncrementalFallback();
+    AmbientExecContext().Add(ExecCounter::kIncrementalFallbacks);
   }
 
   IncrementalRecorder recorder;
@@ -463,7 +463,7 @@ Result<Relation> ExecuteWithFallback(const QueryPtr& query, const Database& db,
   while (!result.ok() && gov != nullptr && gov->rewrite_tripped() &&
          (strategy == Strategy::kLazy || strategy == Strategy::kHybrid)) {
     if (!gov->ClearRewriteTrip()) break;
-    AddLazyFallback();
+    AmbientExecContext().Add(ExecCounter::kGovernorLazyFallbacks);
     if (strategy == Strategy::kLazy) {
       strategy = Strategy::kHybrid;
       // Clamp the hybrid planner's lazy expansion to the rewrite budget so

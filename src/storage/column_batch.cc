@@ -91,11 +91,11 @@ std::shared_ptr<const ColumnBatch> Relation::ColumnarBatch() const {
   // one transposition and then share it.
   std::lock_guard<std::mutex> lock(cache->mu);
   if (cache->batch != nullptr) {
-    AmbientExecContext().AddColumnarBatchReused();
+    AmbientExecContext().Add(ExecCounter::kColumnarBatchesReused);
     return cache->batch;
   }
   cache->batch = std::make_shared<const ColumnBatch>(*this);
-  AmbientExecContext().AddColumnarBatchBuilt();
+  AmbientExecContext().Add(ExecCounter::kColumnarBatchesBuilt);
   return cache->batch;
 }
 
@@ -107,7 +107,9 @@ std::shared_ptr<const ColumnBatch> Relation::ExistingColumnarBatch() const {
   }
   if (cache == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(cache->mu);
-  if (cache->batch != nullptr) AmbientExecContext().AddColumnarBatchReused();
+  if (cache->batch != nullptr) {
+    AmbientExecContext().Add(ExecCounter::kColumnarBatchesReused);
+  }
   return cache->batch;
 }
 

@@ -22,10 +22,6 @@ std::mutex& CacheAllocMutex() {
 
 }  // namespace
 
-void AddIndexTuplesSkipped(uint64_t n) {
-  AmbientExecContext().AddIndexTuplesSkipped(n);
-}
-
 RelationIndex::RelationIndex(const Relation& base,
                              std::vector<size_t> columns)
     : columns_(std::move(columns)) {
@@ -60,7 +56,7 @@ RelationIndex::RelationIndex(const Relation& base,
 }
 
 RelationIndex::PosSpan RelationIndex::Probe(const Tuple& key) const {
-  AmbientExecContext().AddIndexProbe();
+  AmbientExecContext().Add(ExecCounter::kIndexProbes);
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return PosSpan{};
   return PosSpan{positions_.data() + it->second.first, it->second.second};
@@ -92,12 +88,12 @@ std::shared_ptr<const RelationIndex> Relation::IndexOn(
   std::lock_guard<std::mutex> lock(cache->mu);
   auto it = cache->by_columns.find(columns);
   if (it != cache->by_columns.end()) {
-    AmbientExecContext().AddIndexShared();
+    AmbientExecContext().Add(ExecCounter::kIndexesShared);
     return it->second;
   }
   auto index = std::make_shared<const RelationIndex>(*this, columns);
   cache->by_columns.emplace(columns, index);
-  AmbientExecContext().AddIndexBuilt();
+  AmbientExecContext().Add(ExecCounter::kIndexesBuilt);
   return index;
 }
 
@@ -112,7 +108,7 @@ std::shared_ptr<const RelationIndex> Relation::ExistingIndex(
   std::lock_guard<std::mutex> lock(cache->mu);
   auto it = cache->by_columns.find(columns);
   if (it == cache->by_columns.end()) return nullptr;
-  AmbientExecContext().AddIndexShared();
+  AmbientExecContext().Add(ExecCounter::kIndexesShared);
   return it->second;
 }
 

@@ -31,14 +31,9 @@
 
 namespace hql {
 
-// Index work is charged to the ambient ExecContext
-// (common/exec_context.h): indexes_built, indexes_shared, index_probes,
-// index_tuples_skipped. Install an ExecContextScope and read Snapshot()
+// Index work is charged to the ambient ExecContext's "indexes" counters
+// (common/exec_context.h). Install an ExecContextScope and read Snapshot()
 // to observe it.
-
-/// Adds to ExecStats::index_tuples_skipped — called by the execution
-/// kernels, which know how much of the base a probe avoided.
-void AddIndexTuplesSkipped(uint64_t n);
 
 /// An immutable hash index over one or more columns of a base Relation:
 /// key tuple -> span of positions into the base's sorted tuple vector.

@@ -61,8 +61,8 @@ RelationView::RelationView(Relation rel)
 RelationView::RelationView(RelationPtr base)
     : arity_(base->arity()), base_(std::move(base)) {
   ExecContext& ctx = AmbientExecContext();
-  ctx.AddViewCreated();
-  ctx.AddViewTuplesShared(base_->size());
+  ctx.Add(ExecCounter::kViewsCreated);
+  ctx.Add(ExecCounter::kViewTuplesShared, base_->size());
 }
 
 RelationView::RelationView(size_t arity, RelationPtr base,
@@ -80,8 +80,8 @@ RelationView::RelationView(size_t arity, RelationPtr base,
 #endif
   if (!is_flat()) flat_cache_ = std::make_shared<FlatCache>();
   ExecContext& ctx = AmbientExecContext();
-  ctx.AddViewCreated();
-  ctx.AddViewTuplesShared(base_->size() - dels_.size());
+  ctx.Add(ExecCounter::kViewsCreated);
+  ctx.Add(ExecCounter::kViewTuplesShared, base_->size() - dels_.size());
 }
 
 RelationView RelationView::Overlay(RelationPtr base, std::vector<Tuple> adds,
@@ -149,9 +149,9 @@ RelationView RelationView::ApplyDelta(std::vector<Tuple> adds,
     // no merge overhead and later deltas start from a small overlay again.
     HQL_FAIL_POINT(kFailPointConsolidate);
     ExecContext& ctx = AmbientExecContext();
-    ctx.AddViewConsolidation();
+    ctx.Add(ExecCounter::kViewConsolidations);
     Relation flat = base_->ApplyTuples(new_adds, new_dels);
-    ctx.AddViewTuplesCopied(flat.size());
+    ctx.Add(ExecCounter::kViewTuplesCopied, flat.size());
     return RelationView(std::move(flat));
   }
   return RelationView(arity_, base_, std::move(new_adds),
@@ -161,11 +161,11 @@ RelationView RelationView::ApplyDelta(std::vector<Tuple> adds,
 Relation RelationView::Materialize() const {
   if (is_flat()) {
     // A Relation copy shares the base's payload: no tuple is copied.
-    AmbientExecContext().AddViewTuplesShared(base_->size());
+    AmbientExecContext().Add(ExecCounter::kViewTuplesShared, base_->size());
     return *base_;
   }
   Relation flat = base_->ApplyTuples(adds_, dels_);
-  AmbientExecContext().AddViewTuplesCopied(flat.size());
+  AmbientExecContext().Add(ExecCounter::kViewTuplesCopied, flat.size());
   return flat;
 }
 
@@ -175,9 +175,9 @@ RelationPtr RelationView::Shared() const {
   if (flat_cache_->flat == nullptr) {
     HQL_FAIL_POINT(kFailPointConsolidate);
     ExecContext& ctx = AmbientExecContext();
-    ctx.AddViewConsolidation();
+    ctx.Add(ExecCounter::kViewConsolidations);
     Relation flat = base_->ApplyTuples(adds_, dels_);
-    ctx.AddViewTuplesCopied(flat.size());
+    ctx.Add(ExecCounter::kViewTuplesCopied, flat.size());
     flat_cache_->flat = std::make_shared<const Relation>(std::move(flat));
   }
   return flat_cache_->flat;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,17 +102,47 @@ TEST(EngineOptionsTest, SetParsesEveryKnob) {
 }
 
 TEST(EngineOptionsTest, SetRejectsBadInput) {
+  // NaN passes every range comparison, and a count past its target type's
+  // range must be refused before it is cast.
+  const std::pair<const char*, const char*> kBad[] = {
+      {"strategy", "warp"},          {"memo", "sideways"},
+      {"delta_fraction", "1.5"},     {"morsel_rows", "0"},
+      {"max_tuples", "-3"},          {"max_tuples", "many"},
+      {"no_such_knob", "1"},         {"reuse_count", "nan"},
+      {"reuse_count", "inf"},        {"max_lazy_tree_size", "nan"},
+      {"max_lazy_tree_size", "inf"}, {"delta_fraction", "nan"},
+      {"edit_fraction", "nan"},      {"delta_fraction", "-inf"},
+      {"max_tuples", "nan"},         {"max_tuples", "inf"},
+      {"max_tuples", "1e20"},        {"max_tuples", "2.5"},
+      {"index_min_rows", "1e20"},    {"deadline_ms", "1e19"},
+      {"deadline_ms", "inf"},        {"deadline_ms", "9223372036854775808"},
+      {"max_rewrite_nodes", "-1e30"},
+  };
   EngineOptions o;
-  EXPECT_FALSE(o.Set("strategy", "warp").ok());
-  EXPECT_FALSE(o.Set("memo", "sideways").ok());
-  EXPECT_FALSE(o.Set("delta_fraction", "1.5").ok());
-  EXPECT_FALSE(o.Set("morsel_rows", "0").ok());
-  EXPECT_FALSE(o.Set("max_tuples", "-3").ok());
-  EXPECT_FALSE(o.Set("max_tuples", "many").ok());
-  EXPECT_FALSE(o.Set("no_such_knob", "1").ok());
-  // Failed sets leave the options untouched and valid.
+  const std::string before = o.Describe();
+  for (const auto& [knob, value] : kBad) {
+    EXPECT_FALSE(o.Set(knob, value).ok()) << knob << "=" << value;
+    // Failed sets leave the options untouched and valid.
+    EXPECT_EQ(o.Describe(), before) << knob << "=" << value;
+  }
   EXPECT_OK(o.Validate());
-  EXPECT_EQ(o.strategy, Strategy::kHybrid);
+
+  // The largest values in range still parse.
+  EXPECT_OK(o.Set("deadline_ms", "9e18"));
+  EXPECT_EQ(o.budget.deadline_ms, int64_t{9000000000000000000});
+  EXPECT_OK(o.Set("max_tuples", "1.8e19"));
+  EXPECT_OK(o.Validate());
+
+  // Validate refuses the same values when they are assigned directly.
+  o = EngineOptions();
+  o.reuse_count = std::nan("");
+  EXPECT_FALSE(o.Validate().ok());
+  o = EngineOptions();
+  o.max_lazy_tree_size = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(o.Validate().ok());
+  o = EngineOptions();
+  o.incremental_edit_fraction = std::nan("");
+  EXPECT_FALSE(o.Validate().ok());
 }
 
 TEST(EngineOptionsTest, ProfileKnobKeepsMaxSessions) {

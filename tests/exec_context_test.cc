@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -52,11 +54,11 @@ TEST(ExecContextTest, ChargesLandOnInstalledContextNotProcessDefault) {
   ExecContext ctx;
   {
     ExecContextScope scope(&ctx);
-    AmbientExecContext().AddViewCreated();
-    AmbientExecContext().AddViewTuplesShared(7);
-    AmbientExecContext().AddIndexProbe();
-    AmbientExecContext().AddMemoHit();
-    AmbientExecContext().AddGovernorTrip(GovernorTripKind::kDeadline);
+    AmbientExecContext().Add(ExecCounter::kViewsCreated);
+    AmbientExecContext().Add(ExecCounter::kViewTuplesShared, 7);
+    AmbientExecContext().Add(ExecCounter::kIndexProbes);
+    AmbientExecContext().Add(ExecCounter::kMemoHits);
+    AmbientExecContext().Add(ExecCounter::kGovernorDeadlineTrips);
   }
   ExecStats got = ctx.Snapshot();
   EXPECT_EQ(got.views_created, 1u);
@@ -83,59 +85,116 @@ TEST(ExecContextTest, ViewLayerChargesAmbientContext) {
 }
 
 TEST(ExecContextTest, MergeFromAddsCountersMaxesHighWatersKeepsFirstRoute) {
+  // Every counter merges by its listed kind: one side is larger for half
+  // the counters, the other side for the rest, so kMax cannot pass by
+  // always picking one side.
   ExecStats a;
-  a.views_created = 2;
-  a.governor_max_tuples_charged = 10;
+  ExecStats b;
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    ExecCounter c = kExecCounters[i].counter;
+    a[c] = i % 2 == 0 ? 100 + i : 10 + i;
+    b[c] = i % 2 == 0 ? 20 + i : 200 + i;
+  }
   a.route = "lazy";
   a.spans.push_back({"select", "lazy", 5, 3, 11});
-  ExecStats b;
-  b.views_created = 3;
-  b.governor_max_tuples_charged = 7;
   b.route = "eager";
   b.spans.push_back({"join", "eager", 9, 2, 13});
 
   ExecStats merged;
   merged.MergeFrom(a);
   merged.MergeFrom(b);
-  EXPECT_EQ(merged.views_created, 5u);
-  EXPECT_EQ(merged.governor_max_tuples_charged, 10u);
+  // The live context merges the same way.
+  ExecContext ctx;
+  ctx.MergeFrom(a);
+  ctx.MergeFrom(b);
+  ExecStats live = ctx.Snapshot();
+  for (const ExecCounterInfo& c : kExecCounters) {
+    uint64_t want = c.merge == ExecMerge::kSum
+                        ? a[c.counter] + b[c.counter]
+                        : std::max(a[c.counter], b[c.counter]);
+    EXPECT_EQ(merged[c.counter], want) << c.key;
+    EXPECT_EQ(live[c.counter], want) << c.key;
+  }
+  // Both merge kinds are exercised.
+  EXPECT_TRUE(std::any_of(
+      std::begin(kExecCounters), std::end(kExecCounters),
+      [](const ExecCounterInfo& c) { return c.merge == ExecMerge::kMax; }));
   EXPECT_EQ(merged.route, "lazy");  // first non-empty route wins
+  EXPECT_EQ(live.route, "lazy");
   ASSERT_EQ(merged.spans.size(), 2u);
   EXPECT_EQ(merged.spans[0].op, "select");
   EXPECT_EQ(merged.spans[1].op, "join");
+  EXPECT_EQ(live.spans.size(), 2u);
 
   // Same inputs, same order: identical rollup.
   ExecStats again;
   again.MergeFrom(a);
   again.MergeFrom(b);
-  EXPECT_EQ(again.views_created, merged.views_created);
-  EXPECT_EQ(again.route, merged.route);
-  EXPECT_EQ(again.spans.size(), merged.spans.size());
+  EXPECT_EQ(again.ToJson(), merged.ToJson());
 }
 
 TEST(ExecContextTest, ToJsonParsesBackWithAllCounters) {
+  // Every counter gets a distinct power of two (exact as a JSON double).
   ExecStats stats;
-  stats.memo_hits = 3;
-  stats.views_created = 4;
-  stats.index_probes = 5;
-  stats.governor_max_rewrite_nodes_charged = 6;
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    stats[kExecCounters[i].counter] = uint64_t{1} << (2 * i);
+  }
   stats.route = "hybrid-delta";
   stats.spans.push_back({"select-when", "delta", 100, 42, 17});
+  stats.spans.push_back({"a\"b\\c\n\t\x01", "", 0, 0, 0});
+
+  // The hql-exec-stats/v1 document is pinned byte for byte: key order,
+  // integer rendering and string escaping.
+  EXPECT_EQ(
+      stats.ToJson(),
+      "{\"schema\":\"hql-exec-stats/v1\",\"memo_hits\":1,\"memo_misses\":4"
+      ",\"plan_cache_hits\":16,\"plan_cache_misses\":64,\"views_created\":256"
+      ",\"view_consolidations\":1024,\"view_tuples_shared\":4096"
+      ",\"view_tuples_copied\":16384,\"indexes_built\":65536"
+      ",\"indexes_shared\":262144,\"index_probes\":1048576"
+      ",\"index_tuples_skipped\":4194304,\"governor_deadline_trips\":16777216"
+      ",\"governor_tuple_trips\":67108864"
+      ",\"governor_rewrite_trips\":268435456"
+      ",\"governor_cancellations\":1073741824"
+      ",\"governor_lazy_fallbacks\":4294967296"
+      ",\"governor_index_fallbacks\":17179869184"
+      ",\"governor_max_tuples_charged\":68719476736"
+      ",\"governor_max_rewrite_nodes_charged\":274877906944"
+      ",\"columnar_batches_built\":1099511627776"
+      ",\"columnar_batches_reused\":4398046511104"
+      ",\"columnar_morsels_dispatched\":17592186044416"
+      ",\"columnar_rows_vectorized\":70368744177664"
+      ",\"columnar_rows_fallback\":281474976710656"
+      ",\"columnar_agg_rows_vectorized\":1125899906842624"
+      ",\"columnar_agg_groups\":4503599627370496"
+      ",\"columnar_when_routed\":18014398509481984"
+      ",\"incremental_results_patched\":72057594037927936"
+      ",\"incremental_edits_propagated\":288230376151711744"
+      ",\"incremental_fallbacks\":1152921504606846976"
+      ",\"route\":\"hybrid-delta\",\"spans\":[{\"op\":\"select-when\""
+      ",\"route\":\"delta\",\"rows_in\":100,\"rows_out\":42,\"micros\":17}"
+      ",{\"op\":\"a\\\"b\\\\c\\n\\t\\u0001\",\"route\":\"\""
+      ",\"rows_in\":0,\"rows_out\":0,\"micros\":0}]}");
 
   ASSERT_OK_AND_ASSIGN(JsonPtr root, ParseJson(stats.ToJson()));
   ASSERT_TRUE(root->is_object());
   EXPECT_EQ(root->Get("schema")->string_value(), "hql-exec-stats/v1");
-  EXPECT_EQ(root->Get("memo_hits")->number(), 3.0);
-  EXPECT_EQ(root->Get("views_created")->number(), 4.0);
-  EXPECT_EQ(root->Get("index_probes")->number(), 5.0);
-  EXPECT_EQ(root->Get("governor_max_rewrite_nodes_charged")->number(), 6.0);
+  // Exactly the listed counters plus schema, route and spans.
+  EXPECT_EQ(root->fields().size(), kNumExecCounters + 3);
+  for (const ExecCounterInfo& c : kExecCounters) {
+    ASSERT_NE(root->Get(c.key), nullptr) << c.key;
+    EXPECT_EQ(root->Get(c.key)->number(),
+              static_cast<double>(stats[c.counter]))
+        << c.key;
+  }
   EXPECT_EQ(root->Get("route")->string_value(), "hybrid-delta");
   const auto& spans = root->Get("spans")->items();
-  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0]->Get("op")->string_value(), "select-when");
   EXPECT_EQ(spans[0]->Get("route")->string_value(), "delta");
   EXPECT_EQ(spans[0]->Get("rows_in")->number(), 100.0);
   EXPECT_EQ(spans[0]->Get("rows_out")->number(), 42.0);
+  EXPECT_EQ(spans[1]->Get("op")->string_value(), "a\"b\\c\n\t\x01");
 }
 
 TEST(ExecContextTest, TraceSpanRecordsOnlyWhenTracingIsOn) {
@@ -163,18 +222,36 @@ TEST(ExecContextTest, TraceSpanRecordsOnlyWhenTracingIsOn) {
   EXPECT_EQ(stats.spans[0].rows_out, 4u);
 }
 
-TEST(ExecContextTest, CategoryResetsAreIndependent) {
+TEST(ExecContextTest, ResetZeroesEveryCounterTheRouteAndTheSpans) {
   ExecContext ctx;
-  ctx.AddViewCreated();
-  ctx.AddIndexProbe();
-  ctx.AddMemoHit();
-  ctx.AddLazyFallback();
-  ctx.ResetViewCounters();
-  ExecStats stats = ctx.Snapshot();
-  EXPECT_EQ(stats.views_created, 0u);
-  EXPECT_EQ(stats.index_probes, 1u);
-  EXPECT_EQ(stats.memo_hits, 1u);
-  EXPECT_EQ(stats.governor_lazy_fallbacks, 1u);
+  ctx.set_tracing(true);
+  for (const ExecCounterInfo& c : kExecCounters) {
+    if (c.merge == ExecMerge::kSum) {
+      ctx.Add(c.counter, 3);
+    } else {
+      ctx.RaiseHighWater(c.counter, 3);
+    }
+  }
+  ctx.NoteRoute("lazy");
+  {
+    ExecContextScope scope(&ctx);
+    TraceSpan span("select", 1);
+  }
+  ExecStats before = ctx.Snapshot();
+  for (const ExecCounterInfo& c : kExecCounters) {
+    EXPECT_EQ(before[c.counter], 3u) << c.key;
+  }
+  EXPECT_EQ(before.route, "lazy");
+  EXPECT_EQ(before.spans.size(), 1u);
+
+  ctx.Reset();
+  ExecStats after = ctx.Snapshot();
+  for (const ExecCounterInfo& c : kExecCounters) {
+    EXPECT_EQ(after[c.counter], 0u) << c.key;
+  }
+  EXPECT_TRUE(after.route.empty());
+  EXPECT_TRUE(after.spans.empty());
+  EXPECT_TRUE(ctx.tracing());  // tracing is configuration, not a counter
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -90,6 +91,12 @@ TEST(ExecGovernorTest, DeadlineTrips) {
   Status st = gov.Check();
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(st.message().find("deadline"), std::string::npos);
+
+  // A deadline past the clock's range saturates rather than overflowing
+  // into the past.
+  budget.deadline_ms = std::numeric_limits<int64_t>::max();
+  ExecGovernor far(budget);
+  EXPECT_OK(far.Check());
 }
 
 TEST(ExecGovernorTest, ClearRewriteTripOnlyClearsRewriteTrips) {

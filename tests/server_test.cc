@@ -140,6 +140,12 @@ TEST_F(ServerTest, ScriptedExchange) {
 
   ASSERT_OK_AND_ASSIGN(JsonPtr nodes, client.CallOk("nodes"));
   EXPECT_EQ(nodes->Get("nodes")->items().size(), 3u);
+  for (const JsonPtr& node : nodes->Get("nodes")->items()) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : node->fields()) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"materialized", "name",
+                                              "parent"}));
+  }
 
   ASSERT_OK_AND_ASSIGN(JsonPtr an, client.CallOk("analyze hire emp"));
   EXPECT_EQ(an->Get("rows")->number(), 4);
@@ -182,8 +188,19 @@ TEST_F(ServerTest, SetProfileAndGovernorRejection) {
                        client.CallOk("query root sigma[$0 >= 0](emp x emp)"));
   EXPECT_EQ(q->Get("rows")->number(), 9);
 
-  EXPECT_FALSE(client.CallOk("set max_sessions 10").ok());
-  EXPECT_FALSE(client.CallOk("profile turbo").ok());
+  // Rejected knob values are error responses that leave the options as
+  // they were.
+  ASSERT_OK_AND_ASSIGN(JsonPtr before, client.CallOk("options"));
+  for (const char* line :
+       {"set max_sessions 10", "profile turbo", "set max_lazy_tree_size nan",
+        "set deadline_ms 1e19"}) {
+    ASSERT_OK_AND_ASSIGN(JsonPtr rejected, client.Call(line));
+    ASSERT_FALSE(rejected->Get("ok")->bool_value()) << line;
+    EXPECT_EQ(rejected->Get("code")->string_value(), "InvalidArgument") << line;
+  }
+  ASSERT_OK_AND_ASSIGN(JsonPtr after, client.CallOk("options"));
+  EXPECT_EQ(after->Get("options")->string_value(),
+            before->Get("options")->string_value());
   client.Quit();
 }
 
