@@ -17,8 +17,9 @@
 //   UnionDiffRecompute / UnionDiffIncremental
 //                                          (pi R u S) - sigma(S): the
 //                                          multi-operator propagation path.
-//   AggregateFallback                      a group-by plan: never patchable,
-//                                          every re-ask must cleanly count a
+//   AggregateFallback                      a group-by min: never patchable
+//                                          (sum and count are), so every
+//                                          re-ask must cleanly count a
 //                                          fallback and recompute.
 //
 // Setup asserts bit-identical results between the incremental and
@@ -94,8 +95,9 @@ QueryPtr UnionDiffQuery() {
               Sel(Lt(Col(0), Int(kKeyDomain / 10)), Rel("S")));
 }
 
+// Min, because a deleted extremum needs a rescan: the propagator refuses it.
 QueryPtr AggregateQuery() {
-  return Agg({1}, AggFunc::kCount, 0,
+  return Agg({1}, AggFunc::kMin, 0,
              Sel(Lt(Col(0), Int(kKeyDomain / 4)), Rel("R")));
 }
 
@@ -205,9 +207,9 @@ void BM_UnionDiffIncremental(benchmark::State& state) {
   RunEditChain(state, UnionDiffQuery(), IncrementalMode::kAuto);
 }
 
-// A plan the propagator does not cover: the estimator prices it at
-// infinity, every re-ask counts a fallback and recomputes — cleanly, and
-// at recompute cost (this row is the price of the guard rail, not a win).
+// A plan the propagator does not cover: every re-ask counts a fallback and
+// recomputes — cleanly, and at recompute cost (this row is the price of the
+// guard rail, not a win).
 void BM_AggregateFallback(benchmark::State& state) {
   IncrementalCache cache;
   PlannerOptions options = Options(IncrementalMode::kAuto, &cache);

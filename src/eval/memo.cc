@@ -63,7 +63,8 @@ uint64_t TupleCount(const Relation& r) { return r.size(); }
 
 MemoCache::MemoCache(size_t capacity)
     : results_(capacity, &TupleCount),
-      plans_(capacity == 0 ? 0 : kPlanCapacity) {}
+      plans_(capacity == 0 ? 0 : kPlanCapacity),
+      plan_keys_seen_(capacity == 0 ? 0 : kPlanCapacity) {}
 
 std::shared_ptr<const Relation> MemoCache::Lookup(uint64_t key) {
   // The cache keeps its own cumulative stats (it outlives executions); the
@@ -97,16 +98,21 @@ void MemoCache::InsertPlan(uint64_t key,
                            std::shared_ptr<const CachedPlan> plan) {
   // Where every read is a new state (a scenario edited between reads) each
   // plan would be pinned until evicted and never hit; holding 256 such
-  // trees measurably slowed those reads (EXPERIMENTS.md, end-to-end). A
-  // slot collision only delays admission.
-  std::atomic<uint64_t>& seen = plan_keys_seen_[key % kPlanCapacity];
-  if (seen.exchange(key, std::memory_order_relaxed) != key) return;
+  // trees measurably slowed those reads (EXPERIMENTS.md, end-to-end). A key
+  // is admitted once it missed before, within the last kPlanCapacity
+  // distinct missed keys.
+  static const auto kSeen = std::make_shared<const bool>(true);
+  if (plan_keys_seen_.Lookup(key) == nullptr) {
+    plan_keys_seen_.Insert(key, kSeen);
+    return;
+  }
   plans_.Insert(key, std::move(plan));
 }
 
 void MemoCache::Clear() {
   results_.Clear();
   plans_.Clear();
+  plan_keys_seen_.Clear();
 }
 
 void MemoCache::ResetStats() {

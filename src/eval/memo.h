@@ -22,8 +22,6 @@
 // The cache is shared across worker threads (opt/session.h's
 // EvalAlternatives); all operations take one short critical section.
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -60,12 +58,14 @@ uint64_t FingerprintState(const Database& db, const DeltaValue& env);
 /// against the ambient governor.
 struct CachedPlan {
   enum class Route {
-    kDelta,  // Algorithm HQL-3 on the query itself
+    kDelta,  // `query` over the state's overlay, else HQL-3 on the input
     kLazy,   // `query` is pure RA
     kEager,  // `query` keeps `when` nodes for HQL-2 to materialize
   };
   Route route = Route::kDelta;
-  /// The PlanHybrid output (null on the delta route).
+  /// The PlanHybrid output; on the delta route, the pure-RA body Q of a
+  /// `Q when state` input, run over the state's overlay when an incremental
+  /// cache is configured (null for every other delta-route shape).
   QueryPtr query;
   uint64_t rewrite_nodes = 0;
 };
@@ -126,8 +126,10 @@ class MemoCache {
  private:
   LruCache<Relation> results_;
   LruCache<CachedPlan> plans_;
-  /// Direct-mapped record of the last plan key offered per slot.
-  std::array<std::atomic<uint64_t>, kPlanCapacity> plan_keys_seen_{};
+  /// The last kPlanCapacity distinct plan keys that missed: InsertPlan's
+  /// admission record. Exact per key, so keys never evict each other's
+  /// record by sharing a slot.
+  LruCache<bool> plan_keys_seen_;
 };
 
 /// One memoized execution retained for incremental re-evaluation

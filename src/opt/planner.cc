@@ -20,7 +20,6 @@
 #include "hql/enf.h"
 #include "hql/ra_rewrite.h"
 #include "hql/reduce.h"
-#include "hql/free_dom.h"
 #include "hql/subst.h"
 #include "opt/estimator.h"
 
@@ -142,10 +141,10 @@ struct HybridWalker {
   }
 };
 
-// Sums, over every hypothetical state in `q`, the estimated tuples the
-// state writes (materialization) and the current cardinality of the
-// relations it writes (affected base) — the inputs to the delta-route
-// decision.
+// Sums, over every hypothetical state in the mod-ENF query `q`, the
+// estimated tuples the state writes (materialization) and the current
+// cardinality of the relations it writes (affected base) — the inputs to
+// the delta-route decision.
 void CollectStateLoad(const QueryPtr& q, const StatsCatalog& stats,
                       const CardinalityEstimator& estimator,
                       double* materialization, double* affected_base) {
@@ -175,36 +174,28 @@ void CollectStateLoad(const QueryPtr& q, const StatsCatalog& stats,
                        affected_base);
       // For {ins/del} chains the change is the atoms' arguments, not the
       // whole new relation value: charge the argument estimates.
-      if (q->state()->kind() == HypoKind::kUpdateState) {
-        std::vector<UpdatePtr> stack = {q->state()->update()};
-        while (!stack.empty()) {
-          UpdatePtr u = stack.back();
-          stack.pop_back();
-          switch (u->kind()) {
-            case UpdateKind::kInsert:
-            case UpdateKind::kDelete:
-              *materialization += estimator.EstimateQuery(u->query());
-              // For an overlay-backed relation the eager route pays for
-              // consolidating base + delta, not just the current size.
-              *affected_base += static_cast<double>(stats.UpperBoundOf(
-                  u->rel_name(), stats.CardinalityOf(u->rel_name(), 1000)));
-              break;
-            case UpdateKind::kSeq:
-              stack.push_back(u->first());
-              stack.push_back(u->second());
-              break;
-            case UpdateKind::kCond:
-              stack.push_back(u->then_branch());
-              stack.push_back(u->else_branch());
-              break;
-          }
-        }
-      } else {
-        *materialization +=
-            estimator.EstimateStateMaterialization(q->state());
-        for (const std::string& name : DomNames(q->state())) {
-          *affected_base += static_cast<double>(
-              stats.UpperBoundOf(name, stats.CardinalityOf(name, 1000)));
+      HQL_CHECK(q->state()->kind() == HypoKind::kUpdateState);  // mod-ENF
+      std::vector<UpdatePtr> stack = {q->state()->update()};
+      while (!stack.empty()) {
+        UpdatePtr u = stack.back();
+        stack.pop_back();
+        switch (u->kind()) {
+          case UpdateKind::kInsert:
+          case UpdateKind::kDelete:
+            *materialization += estimator.EstimateQuery(u->query());
+            // For an overlay-backed relation the eager route pays for
+            // consolidating base + delta, not just the current size.
+            *affected_base += static_cast<double>(stats.UpperBoundOf(
+                u->rel_name(), stats.CardinalityOf(u->rel_name(), 1000)));
+            break;
+          case UpdateKind::kSeq:
+            stack.push_back(u->first());
+            stack.push_back(u->second());
+            break;
+          case UpdateKind::kCond:
+            stack.push_back(u->then_branch());
+            stack.push_back(u->else_branch());
+            break;
         }
       }
       return;
@@ -235,8 +226,9 @@ Result<Plan> PlanHybrid(const QueryPtr& query, const Schema& schema,
 
 namespace {
 
-// Pure-RA evaluation on the lazy / hybrid-lazy routes, with incremental
-// re-evaluation when the options enable it. The decision lattice:
+// Pure-RA evaluation on the lazy / hybrid-lazy routes and of a session
+// read's body on the hybrid-delta route, with incremental re-evaluation
+// when the options enable it. The decision lattice:
 //
 //   cold cache ........................ full evaluation (recorded)
 //   unpatchable (base replaced, leaf
@@ -299,10 +291,11 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
 
 // The hybrid strategy's decision for `query` in `db`. Delta route: if every
 // state is an atomic update chain (mod-ENF) and the estimated change is a
-// small fraction of the data, HQL-3's streaming operators beat both
-// substitution and xsub materialization (Section 5.5). Otherwise
-// PlanHybrid decides per `when` node. The rewrite nodes the planning
-// charged are recorded with the decision.
+// small fraction of the data, evaluating over the change beats both
+// substitution and xsub materialization (Section 5.5). The gate costs the
+// mod-ENF form, where a session path's `#` composition is one {U1; ...; Uk}
+// chain. Otherwise PlanHybrid decides per `when` node. The rewrite nodes
+// the planning charged are recorded with the decision.
 Result<std::shared_ptr<const CachedPlan>> PlanHybridRoute(
     const QueryPtr& query, const Database& db, const Schema& schema,
     const PlannerOptions& options) {
@@ -310,19 +303,30 @@ Result<std::shared_ptr<const CachedPlan>> PlanHybridRoute(
   auto plan = std::make_shared<CachedPlan>();
   StatsCatalog stats = StatsCatalog::FromDatabase(db);
   bool delta = false;
-  if (options.delta_fraction_threshold > 0 && !IsPureRelAlg(query) &&
-      ToModEnf(query, schema).ok()) {
-    CardinalityEstimator estimator(stats);
-    double materialization = 0;
-    double affected_base = 0;
-    CollectStateLoad(query, stats, estimator, &materialization,
-                     &affected_base);
-    delta = affected_base > 0 &&
-            materialization <
-                options.delta_fraction_threshold * affected_base;
+  if (options.delta_fraction_threshold > 0 && !IsPureRelAlg(query)) {
+    Result<QueryPtr> mod_enf = ToModEnf(query, schema);
+    if (mod_enf.ok()) {
+      CardinalityEstimator estimator(stats);
+      double materialization = 0;
+      double affected_base = 0;
+      CollectStateLoad(*mod_enf, stats, estimator, &materialization,
+                       &affected_base);
+      delta = affected_base > 0 &&
+              materialization <
+                  options.delta_fraction_threshold * affected_base;
+    }
   }
   if (delta) {
     plan->route = CachedPlan::Route::kDelta;
+    // `Q when state` with pure-RA Q (every session read): Q runs over the
+    // state's copy-on-write overlay, where its fingerprint is the same on
+    // every re-ask, so the incremental cache patches Q's last run.
+    if (query->kind() == QueryKind::kWhen && IsPureRelAlg(query->left())) {
+      plan->query = query->left();
+      if (options.simplify) {
+        HQL_ASSIGN_OR_RETURN(plan->query, SimplifyRa(plan->query, schema));
+      }
+    }
   } else {
     HQL_ASSIGN_OR_RETURN(Plan planned,
                          PlanHybrid(query, schema, stats, options));
@@ -423,6 +427,18 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
         case CachedPlan::Route::kDelta: {
           ExecRouteScope route("hybrid-delta");
           AmbientExecContext().NoteRoute("hybrid-delta");
+          // The overlay pays off by patching Q's last run; with nothing to
+          // patch, HQL-3's streaming join-when is faster (E8, depth-1 rows).
+          if (plan->query != nullptr &&
+              options.incremental_config().enabled()) {
+            // [state](db) is an O(|delta|) overlay on the shared base.
+            HQL_ASSIGN_OR_RETURN(Database hypo, EvalState(query->state(), db));
+            DatabaseResolver resolver(hypo);
+            return EvalRaIncremental(
+                plan->query, hypo, resolver,
+                EvalMemo{options.memo, FingerprintState(hypo), icfg, ccfg},
+                options);
+          }
           Filter3Options f3;
           f3.indexes = icfg;
           f3.columnar = ccfg;

@@ -115,9 +115,10 @@ struct PlannerOptions {
 
   /// Incremental re-evaluation policy (eval/incremental.h). kOff (default)
   /// recomputes every execution exactly as before. kAuto lets the lazy and
-  /// hybrid-lazy routes patch a cached result of the same plan when the
-  /// database differs from the recorded execution only by a small overlay
-  /// edit and the estimator prices the patch below a recompute; every other
+  /// hybrid-lazy routes, and the hybrid-delta route's `Q when state` reads,
+  /// patch a cached result of the same plan when the database differs from
+  /// the recorded execution only by a small overlay edit and the estimator
+  /// prices the patch below a recompute; every other
   /// case (cold cache, consolidated base, large edit, aggregate plans)
   /// falls back to full evaluation — results are always bit-identical.
   IncrementalMode incremental_mode = IncrementalMode::kOff;

@@ -172,8 +172,20 @@ std::vector<Result<Relation>> EvalAlternativesPartial(
       }));
     }
     pool.WaitAll();
+    size_t first_hard = n;
     for (size_t i = 0; i < n; ++i) {
       if (!slots[i].has_value()) slots[i] = NeverRan();  // drained unrun
+      if (first_hard == n && IsHardFailure(slots[i]->status())) first_hard = i;
+    }
+    // The pool-wide cancel also reaches siblings *before* the failure in
+    // input order. Run those serially, as the serial loop would have, so the
+    // first hard failure by input order does not depend on which thread
+    // finished first.
+    for (size_t i = 0; first_hard < n && i < first_hard; ++i) {
+      if (slots[i]->status().code() != StatusCode::kCancelled) continue;
+      slots[i] = EvalOneAlternative(query, states[i], db, schema, options,
+                                    nullptr, tracing, &stats[i]);
+      if (IsHardFailure(slots[i]->status())) first_hard = i;
     }
   }
 

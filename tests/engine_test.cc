@@ -565,6 +565,116 @@ TEST(SessionDropRaceTest, QueriesSeeTheNodeOrNotFound) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// ---------------------------------------------------------------------------
+// Session reads on the hybrid-delta route. Every read is `Q when (e1 # ... #
+// ek)`; with the state a few single-tuple inserts over 10k-row relations,
+// the hybrid runs Q over the state's overlay and patches Q's last run.
+
+constexpr int kPathDepth = 8;
+
+Database TenKDb() {
+  Database db(MakeSchema({{"R", 2}, {"S", 2}}));
+  Rng rng(24);
+  HQL_CHECK(db.Set("R", GenRelation(&rng, 10000, 2, 40000, 1000)).ok());
+  HQL_CHECK(db.Set("S", GenRelation(&rng, 10000, 2, 40000, 1000)).ok());
+  return db;
+}
+
+EngineOptions FastOptions() {
+  Result<EngineOptions> fast = EngineOptions::Profile("fast");
+  HQL_CHECK(fast.ok());
+  return fast.value();
+}
+
+std::string PathNode(int k) {
+  return k == 0 ? "root" : "n" + std::to_string(k);
+}
+
+HypoExprPtr InsertEdge(Rng* rng) {
+  return H("{ins(R, {(" + std::to_string(rng->Uniform(0, 39999)) + ", " +
+           std::to_string(rng->Uniform(0, 999)) + ")})}");
+}
+
+// Derives root -> n1 -> ... -> n<depth> with one insert per edge.
+void DerivePath(Session* s, uint64_t seed, int depth) {
+  Rng rng(seed);
+  for (int k = 1; k <= depth; ++k) {
+    HQL_CHECK(s->Derive(PathNode(k - 1), PathNode(k), InsertEdge(&rng)).ok());
+  }
+}
+
+const std::vector<QueryPtr>& ReaskQueries() {
+  static const std::vector<QueryPtr> queries = {
+      Q("pi[1](sigma[$0 >= 20000 and $0 < 22000](R))"),
+      Q("R join[$0 = $2] S"),
+      Q("(pi[0,1](sigma[$0 >= 10000 and $0 < 12000](R)) union S) - "
+        "sigma[$0 < 4000](S)"),
+  };
+  return queries;
+}
+
+TEST(SessionDeltaRouteTest, JoinOverComposedInsertsTakesDelta) {
+  Engine engine(TenKDb(), FastOptions());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  DerivePath(s.get(), 1, 2);  // n2's path is {ins(R, {t1})} # {ins(R, {t2})}
+  ASSERT_OK_AND_ASSIGN(Relation got, s->Query("n2", ReaskQueries()[1]));
+  EXPECT_EQ(s->Stats().route, "hybrid-delta");
+
+  ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession());
+  ASSERT_OK(ref->Set("strategy", "direct"));
+  DerivePath(ref.get(), 1, 2);
+  ASSERT_OK_AND_ASSIGN(Relation want, ref->Query("n2", ReaskQueries()[1]));
+  EXPECT_EQ(got, want);
+}
+
+TEST(SessionDeltaRouteTest, ReasksPatchTheLastRunAndMatchDirect) {
+  Engine engine(TenKDb(), FastOptions());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession());
+  ASSERT_OK(ref->Set("strategy", "direct"));
+  DerivePath(s.get(), 8, kPathDepth);
+  DerivePath(ref.get(), 8, kPathDepth);
+  const std::string leaf = PathNode(kPathDepth);
+  Rng rng(50);
+  for (int round = 0; round < 50; ++round) {
+    std::string node =
+        PathNode(static_cast<int>(rng.Uniform(1, kPathDepth)));
+    HypoExprPtr edge = InsertEdge(&rng);
+    ASSERT_OK(s->Edit(node, edge));
+    ASSERT_OK(ref->Edit(node, edge));
+    for (size_t q = 0; q < ReaskQueries().size(); ++q) {
+      const QueryPtr& query = ReaskQueries()[q];
+      uint64_t patched = s->Stats().incremental_results_patched;
+      ASSERT_OK_AND_ASSIGN(Relation got, s->Query(leaf, query));
+      ASSERT_OK_AND_ASSIGN(Relation want, ref->Query(leaf, query));
+      EXPECT_EQ(got, want) << "round " << round << ": " << query->ToString();
+      EXPECT_EQ(s->Stats().route, "hybrid-delta");
+      // Round 0 is each query's first ask; every re-ask patches.
+      if (round > 0) {
+        EXPECT_EQ(s->Stats().incremental_results_patched, patched + 1)
+            << "round " << round << ": " << query->ToString();
+      }
+    }
+  }
+}
+
+TEST(SessionDeltaRouteTest, CompareStaysOnHqlThreeAndMatchesDirect) {
+  Engine engine(TenKDb(), FastOptions());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession());
+  ASSERT_OK(ref->Set("strategy", "direct"));
+  DerivePath(s.get(), 3, kPathDepth);
+  DerivePath(ref.get(), 3, kPathDepth);
+  for (const QueryPtr& query : ReaskQueries()) {
+    uint64_t patched = s->Stats().incremental_results_patched;
+    ASSERT_OK_AND_ASSIGN(Relation got, s->Compare("n8", "n4", query));
+    ASSERT_OK_AND_ASSIGN(Relation want, ref->Compare("n8", "n4", query));
+    EXPECT_EQ(got, want) << query->ToString();
+    EXPECT_EQ(s->Stats().route, "hybrid-delta");
+    EXPECT_EQ(s->Stats().incremental_results_patched, patched);
+  }
+}
+
 // The plan-cache traffic one query adds to the session's stats.
 struct PlanTraffic {
   uint64_t hits = 0;
@@ -653,6 +763,25 @@ TEST(PlanCacheSessionTest, EightSessionsQueryOneFamilyConcurrently) {
   }
 
   constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  const size_t keys = nodes.size() * family.size();
+  // Warm-up: every key misses twice from one session, so every plan is
+  // admitted (a key is admitted on its own second miss) before the threads
+  // start, and every concurrent lookup must hit.
+  ASSERT_OK_AND_ASSIGN(SessionPtr warm, engine.CreateSession("warm"));
+  for (size_t e = 0; e < tree.size(); ++e) {
+    ASSERT_OK(warm->Derive(tree[e].first, tree[e].second, edges[e]));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& node : nodes) {
+      for (const QueryPtr& q : family) {
+        EXPECT_EQ(QueryTraffic(warm.get(), node, q).misses, 1u);
+      }
+    }
+  }
+  LruStats warmed = engine.memo().plan_stats();
+  EXPECT_EQ(warmed.entries, keys);
+
   std::vector<SessionPtr> sessions;
   for (int i = 0; i < kThreads; ++i) {
     ASSERT_OK_AND_ASSIGN(SessionPtr s,
@@ -667,7 +796,7 @@ TEST(PlanCacheSessionTest, EightSessionsQueryOneFamilyConcurrently) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       Session& s = *sessions[static_cast<size_t>(i)];
-      for (int round = 0; round < 10; ++round) {
+      for (int round = 0; round < kRounds; ++round) {
         for (size_t n = 0; n < nodes.size(); ++n) {
           for (size_t f = 0; f < family.size(); ++f) {
             Result<Relation> r = s.Query(nodes[n], family[f]);
@@ -682,9 +811,10 @@ TEST(PlanCacheSessionTest, EightSessionsQueryOneFamilyConcurrently) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   LruStats plans = engine.memo().plan_stats();
-  EXPECT_LE(plans.entries, nodes.size() * family.size());
-  EXPECT_GE(plans.hits, static_cast<uint64_t>(kThreads) * 9 * nodes.size() *
-                            family.size());
+  EXPECT_EQ(plans.entries, keys);
+  EXPECT_EQ(plans.misses, warmed.misses);
+  EXPECT_EQ(plans.hits - warmed.hits,
+            static_cast<uint64_t>(kThreads) * kRounds * keys);
 }
 
 }  // namespace

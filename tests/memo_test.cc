@@ -91,6 +91,36 @@ TEST(MemoCacheTest, ClearDropsEntriesButKeepsCounters) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
+// Keys that agree modulo the plan capacity, missed in turn: each is
+// admitted on its own second miss, however their misses interleave.
+TEST(MemoCacheTest, PlanAdmittedOnItsOwnSecondMiss) {
+  MemoCache cache;
+  const uint64_t a = 5;
+  const uint64_t b = a + MemoCache::kPlanCapacity;
+  auto plan = std::make_shared<const CachedPlan>();
+  for (int round = 0; round < 2; ++round) {
+    for (uint64_t key : {a, b}) {
+      ASSERT_EQ(cache.LookupPlan(key), nullptr);
+      cache.InsertPlan(key, plan);
+    }
+  }
+  EXPECT_EQ(cache.plan_stats().entries, 2u);
+  EXPECT_NE(cache.LookupPlan(a), nullptr);
+  EXPECT_NE(cache.LookupPlan(b), nullptr);
+
+  // The record keeps the last kPlanCapacity missed keys: a key that missed
+  // before that many others missed starts over.
+  MemoCache fresh;
+  fresh.InsertPlan(1, plan);
+  for (uint64_t k = 2; k <= MemoCache::kPlanCapacity + 1; ++k) {
+    fresh.InsertPlan(k, plan);
+  }
+  fresh.InsertPlan(1, plan);
+  EXPECT_EQ(fresh.plan_stats().entries, 0u);
+  fresh.InsertPlan(1, plan);
+  EXPECT_EQ(fresh.plan_stats().entries, 1u);
+}
+
 TEST(QueryFingerprintTest, StructurallyEqualTreesAgree) {
   // Two independently built, structurally identical trees must collide —
   // that is what lets one alternative's subplan serve another's.

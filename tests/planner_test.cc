@@ -241,6 +241,54 @@ TEST(PlannerTest, DeltaRoutePreservesSemantics) {
   }
 }
 
+// Session-shaped reads `Q when (e1 # ... # ek)` of single-tuple inserts and
+// deletes take the delta route, which runs Q over the state's overlay and
+// patches Q's last run over the same base. Re-asks of fixed queries under
+// random paths must read exactly as direct semantics.
+TEST(PlannerTest, DeltaRouteReasksOverOverlaysMatchDirect) {
+  Rng rng(2024);
+  Schema schema = PropertySchema();
+  AstGenOptions gen;
+  gen.max_depth = 3;
+  gen.allow_when = false;
+  Database db = RandomDatabase(&rng, schema, 40, 8);
+  std::vector<QueryPtr> queries;
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(RandomQuery(&rng, schema, 1 + i % 2, gen));
+  }
+  MemoCache memo;
+  IncrementalCache cache;
+  PlannerOptions options;
+  options.memo = &memo;
+  options.incremental_mode = IncrementalMode::kAuto;
+  options.incremental_cache = &cache;
+  ExecContext ctx;
+  ExecContextScope scope(&ctx);
+  for (int round = 0; round < 60; ++round) {
+    HypoExprPtr path = nullptr;
+    for (int64_t k = rng.Uniform(1, 4); k > 0; --k) {
+      size_t arity = static_cast<size_t>(rng.Uniform(1, 2));
+      std::string rel =
+          (rng.Bernoulli(0.5) ? "A" : "B") + std::to_string(arity);
+      Tuple t;
+      for (size_t c = 0; c < arity; ++c) t.push_back(IntV(rng.Uniform(0, 7)));
+      UpdatePtr u =
+          rng.Bernoulli(0.5) ? Ins(rel, Single(t)) : Del(rel, Single(t));
+      path = path == nullptr ? Upd(u) : Comp(path, Upd(u));
+    }
+    for (const QueryPtr& q : queries) {
+      QueryPtr read = When(q, path);
+      ASSERT_OK_AND_ASSIGN(
+          Relation got, Execute(read, db, schema, Strategy::kHybrid, options));
+      ASSERT_OK_AND_ASSIGN(Relation want,
+                           Execute(read, db, schema, Strategy::kDirect));
+      EXPECT_EQ(got, want) << read->ToString();
+    }
+  }
+  ExecStats stats = ctx.Snapshot();
+  EXPECT_GT(stats.incremental_results_patched, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Plan entries on the memo: the hybrid route's decision, cached per
 // (query, state, planner inputs).
