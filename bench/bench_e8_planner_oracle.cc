@@ -7,14 +7,15 @@
 // Rows:
 //   PlannerVsOracle/<delta per mille>/<depth>/<selective>
 //       nested `Q when U1 when U2 ...` with range-sized update chains.
-//   SessionPathVsOracle/<k>/<query>
+//   SessionPathVsOracle/<k>/<query>/<profile>
 //       the shape a session read composes, `Q when (e1 # ... # ek)`, with
 //       single-tuple insert edges over 10k-row R and S. Every strategy gets
-//       its own memo, index advisor and incremental cache under the `fast`
-//       profile's options, as a session does; one edge is edited before
-//       each timed re-ask. `delta_share` is the hybrid's share of
-//       hybrid-delta routes. Query 0 is a select/project band, 1 the join
-//       R join[$0 = $2] S, 2 a union/difference (edit_reask's three).
+//       its own memo, index advisor and incremental cache under the named
+//       profile's options (0 `fast`, 1 `default`, 2 `safe`), as a session
+//       does; one edge is edited before each timed re-ask. `delta_share`
+//       is the hybrid's share of hybrid-delta routes. Query 0 is a
+//       select/project band, 1 the join R join[$0 = $2] S, 2 a
+//       union/difference (edit_reask's three).
 
 #include <benchmark/benchmark.h>
 
@@ -144,12 +145,12 @@ struct PathRun {
 
 // One cold ask, then kSessionReasks timed edit/re-ask rounds; the edits are
 // the same for every strategy.
-PathRun RunPath(const QueryPtr& q, int k, const Database& db, Strategy s) {
-  EngineOptions fast = Unwrap(EngineOptions::Profile("fast"));
+PathRun RunPath(const QueryPtr& q, int k, const Database& db,
+                const EngineOptions& profile, Strategy s) {
   MemoCache memo;
   IndexAdvisor advisor;
   IncrementalCache cache;
-  PlannerOptions options = fast.ToPlannerOptions(&memo, &advisor, &cache);
+  PlannerOptions options = profile.ToPlannerOptions(&memo, &advisor, &cache);
   Rng rng(8);
   std::vector<HypoExprPtr> edges;
   for (int i = 0; i < k; ++i) edges.push_back(InsertEdge(&rng));
@@ -177,15 +178,18 @@ PathRun RunPath(const QueryPtr& q, int k, const Database& db, Strategy s) {
 void BM_SessionPathVsOracle(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   QueryPtr q = SessionQuery(state.range(1));
+  constexpr const char* kProfiles[] = {"fast", "default", "safe"};
+  const EngineOptions profile =
+      Unwrap(EngineOptions::Profile(kProfiles[state.range(2)]));
   Database db = MakeRS(47, kSessionRows, kKeyDomain);
   double best = std::numeric_limits<double>::infinity();
   PathRun hybrid;
   for (auto _ : state) {
     best = std::numeric_limits<double>::infinity();
-    hybrid = RunPath(q, k, db, Strategy::kHybrid);
+    hybrid = RunPath(q, k, db, profile, Strategy::kHybrid);
     for (Strategy s : {Strategy::kLazy, Strategy::kFilter1,
                        Strategy::kFilter2, Strategy::kFilter3}) {
-      PathRun run = RunPath(q, k, db, s);
+      PathRun run = RunPath(q, k, db, profile, s);
       HQL_CHECK_MSG(run.last_hash == hybrid.last_hash,
                     "strategies disagree on a session path");
       if (run.seconds < best) best = run.seconds;
@@ -199,8 +203,10 @@ void BM_SessionPathVsOracle(benchmark::State& state) {
 }
 
 void SessionArgs(benchmark::internal::Benchmark* b) {
-  for (int64_t k : {1, 2, 8}) {
-    for (int64_t query : {0, 1, 2}) b->Args({k, query});
+  for (int64_t profile : {0, 1, 2}) {
+    for (int64_t k : {1, 2, 8}) {
+      for (int64_t query : {0, 1, 2}) b->Args({k, query, profile});
+    }
   }
   b->Unit(benchmark::kMillisecond)->Iterations(1);
 }

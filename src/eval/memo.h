@@ -64,8 +64,8 @@ struct CachedPlan {
   };
   Route route = Route::kDelta;
   /// The PlanHybrid output; on the delta route, the pure-RA body Q of a
-  /// `Q when state` input, run over the state's overlay when an incremental
-  /// cache is configured (null for every other delta-route shape).
+  /// `Q when state` input planned with an incremental cache, run over the
+  /// state's overlay (null for every other delta-route plan).
   QueryPtr query;
   uint64_t rewrite_nodes = 0;
 };

@@ -203,6 +203,31 @@ void CollectStateLoad(const QueryPtr& q, const StatsCatalog& stats,
   }
 }
 
+// Whether the pure-RA `q` joins, multiplies or aggregates: operators the
+// RA simplifier does not split over a union, so after substitution they
+// read the whole updated relation.
+bool ReadsWholeRelations(const QueryPtr& q) {
+  switch (q->kind()) {
+    case QueryKind::kRel:
+    case QueryKind::kEmpty:
+    case QueryKind::kSingleton:
+      return false;
+    case QueryKind::kJoin:
+    case QueryKind::kProduct:
+    case QueryKind::kAggregate:
+    case QueryKind::kWhen:
+      return true;
+    case QueryKind::kSelect:
+    case QueryKind::kProject:
+      return ReadsWholeRelations(q->left());
+    case QueryKind::kUnion:
+    case QueryKind::kIntersect:
+    case QueryKind::kDifference:
+      return ReadsWholeRelations(q->left()) || ReadsWholeRelations(q->right());
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<Plan> PlanHybrid(const QueryPtr& query, const Schema& schema,
@@ -316,12 +341,24 @@ Result<std::shared_ptr<const CachedPlan>> PlanHybridRoute(
                   options.delta_fraction_threshold * affected_base;
     }
   }
+  // `Q when state` with pure-RA Q is every session read. With an incremental
+  // cache the delta route runs Q over the state's copy-on-write overlay:
+  // Q's fingerprint is the same on every re-ask, so the cache patches Q's
+  // last run by the delta-of-delta. Without one nothing is patched. Then a
+  // join, product or aggregate body stays on HQL-3, whose join-when is
+  // fastest, while a body of select, project, union, intersect and
+  // difference goes to PlanHybrid: substitution pushes the selections
+  // through the state's union and the memo serves the base part (E8
+  // SessionPathVsOracle rows, `default` profile).
+  const bool read = delta && query->kind() == QueryKind::kWhen &&
+                    IsPureRelAlg(query->left());
+  const bool patchable = options.incremental_config().enabled();
+  if (read && !patchable && !ReadsWholeRelations(query->left())) {
+    delta = false;
+  }
   if (delta) {
     plan->route = CachedPlan::Route::kDelta;
-    // `Q when state` with pure-RA Q (every session read): Q runs over the
-    // state's copy-on-write overlay, where its fingerprint is the same on
-    // every re-ask, so the incremental cache patches Q's last run.
-    if (query->kind() == QueryKind::kWhen && IsPureRelAlg(query->left())) {
+    if (read && patchable) {
       plan->query = query->left();
       if (options.simplify) {
         HQL_ASSIGN_OR_RETURN(plan->query, SimplifyRa(plan->query, schema));
@@ -355,6 +392,7 @@ Result<std::shared_ptr<const CachedPlan>> HybridRouteFor(
   key = HashCombine(key,
                     std::bit_cast<uint64_t>(options.delta_fraction_threshold));
   key = HashCombine(key, options.simplify ? 1 : 0);
+  key = HashCombine(key, options.incremental_config().enabled() ? 1 : 0);
   if (std::shared_ptr<const CachedPlan> hit = options.memo->LookupPlan(key)) {
     if (hit->rewrite_nodes > 0) {
       HQL_RETURN_IF_ERROR(GovernorChargeRewriteNodes(hit->rewrite_nodes));
@@ -427,10 +465,7 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
         case CachedPlan::Route::kDelta: {
           ExecRouteScope route("hybrid-delta");
           AmbientExecContext().NoteRoute("hybrid-delta");
-          // The overlay pays off by patching Q's last run; with nothing to
-          // patch, HQL-3's streaming join-when is faster (E8, depth-1 rows).
-          if (plan->query != nullptr &&
-              options.incremental_config().enabled()) {
+          if (plan->query != nullptr) {
             // [state](db) is an O(|delta|) overlay on the shared base.
             HQL_ASSIGN_OR_RETURN(Database hypo, EvalState(query->state(), db));
             DatabaseResolver resolver(hypo);

@@ -52,11 +52,14 @@ struct PlannerOptions {
   /// Run the RA simplifier over pure parts of the plan.
   bool simplify = true;
 
-  /// Hybrid execution takes the delta route (Algorithm HQL-3) when the
-  /// query has a mod-ENF form and the estimated state materialization is
-  /// below this fraction of the affected base relations — the Section 5.5
-  /// regime where join-when/select-when beat xsub materialization. Set to
-  /// 0 to disable the delta route.
+  /// Hybrid execution takes the delta route when the query has a mod-ENF
+  /// form and the estimated state materialization is below this fraction
+  /// of the affected base relations — the Section 5.5 regime where
+  /// evaluating over the change beats xsub materialization. With an
+  /// incremental cache set, a pure-RA `Q when state` on that route runs Q
+  /// over the state's copy-on-write overlay and patches Q's last run; every
+  /// other delta-route plan runs Algorithm HQL-3. Set to 0 to disable the
+  /// delta route.
   double delta_fraction_threshold = 0.25;
 
   /// Optional memoizing subplan cache (eval/memo.h). When set, Execute's

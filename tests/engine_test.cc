@@ -658,6 +658,51 @@ TEST(SessionDeltaRouteTest, ReasksPatchTheLastRunAndMatchDirect) {
   }
 }
 
+// Without an incremental cache (the `default` and `safe` profiles) nothing
+// patches Q's last run, so the overlay is not used: the join read stays on
+// HQL-3's delta route, and the select/project and union/difference reads,
+// whose base part the memo serves after substitution, go lazy.
+TEST(SessionDeltaRouteTest, UnpatchableReadsRouteByBodyAndMatchDirect) {
+  const std::vector<std::string> want_routes = {"hybrid-lazy", "hybrid-delta",
+                                                "hybrid-lazy"};
+  for (const char* profile : {"default", "safe"}) {
+    ASSERT_OK_AND_ASSIGN(EngineOptions options,
+                         EngineOptions::Profile(profile));
+    Engine engine(TenKDb(), options);
+    ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+    ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession());
+    ASSERT_OK(ref->Set("strategy", "direct"));
+    for (int depth : {1, kPathDepth}) {
+      const std::string leaf = "d" + std::to_string(depth) + "_" +
+                               PathNode(depth);
+      Rng rng(static_cast<uint64_t>(depth));
+      std::string parent = "root";
+      for (int k = 1; k <= depth; ++k) {
+        std::string node = "d" + std::to_string(depth) + "_" + PathNode(k);
+        HypoExprPtr edge = InsertEdge(&rng);
+        ASSERT_OK(s->Derive(parent, node, edge));
+        ASSERT_OK(ref->Derive(parent, node, edge));
+        parent = node;
+      }
+      for (int round = 0; round < 3; ++round) {
+        HypoExprPtr edge = InsertEdge(&rng);
+        ASSERT_OK(s->Edit(leaf, edge));
+        ASSERT_OK(ref->Edit(leaf, edge));
+        for (size_t q = 0; q < ReaskQueries().size(); ++q) {
+          const QueryPtr& query = ReaskQueries()[q];
+          ASSERT_OK_AND_ASSIGN(Relation got, s->Query(leaf, query));
+          ASSERT_OK_AND_ASSIGN(Relation want, ref->Query(leaf, query));
+          EXPECT_EQ(got, want) << profile << " depth " << depth << ": "
+                               << query->ToString();
+          EXPECT_EQ(s->Stats().route, want_routes[q])
+              << profile << " depth " << depth << ": " << query->ToString();
+        }
+      }
+    }
+    EXPECT_EQ(s->Stats().incremental_results_patched, 0u) << profile;
+  }
+}
+
 TEST(SessionDeltaRouteTest, CompareStaysOnHqlThreeAndMatchesDirect) {
   Engine engine(TenKDb(), FastOptions());
   ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());

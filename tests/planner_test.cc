@@ -383,6 +383,11 @@ TEST(PlanCacheTest, StateAndEveryKeyedInputMiss) {
   PlannerOptions raw = options;
   raw.simplify = false;
   EXPECT_TRUE(misses(db, raw));
+  IncrementalCache cache;
+  PlannerOptions patching = options;
+  patching.incremental_mode = IncrementalMode::kAuto;
+  patching.incremental_cache = &cache;
+  EXPECT_TRUE(misses(db, patching));
   Database edited = db;
   ASSERT_OK(edited.Set("S", Ints({{5, 50}})));
   EXPECT_TRUE(misses(edited, options));
