@@ -13,18 +13,17 @@ uint64_t MemoKey(uint64_t query_fingerprint, uint64_t state_fingerprint) {
                      state_fingerprint);
 }
 
-// Relations are fingerprinted through RelationView::Fingerprint: flat views
-// hash as their base relation (O(1) once cached), overlays combine the base
-// hash with the add/del overlay hashes in O(|delta|) — the full state never
-// has to be consolidated just to key the cache. Representation differences
-// (the same content reached through different base/delta splits) can only
-// cause a false miss, never a wrong hit.
+// Relations are fingerprinted through RelationView::Hash, the content hash:
+// flat views hash as their base relation (O(1) once cached), overlays adjust
+// the base hash by their adds and dels in O(|delta|), so the full state never
+// has to be consolidated just to key the cache, and equal content keys alike
+// whatever its base/delta split.
 
 uint64_t FingerprintState(const Database& db) {
   uint64_t h = 0xB7E151628AED2A6BULL;
   for (const auto& [name, rel] : db.relations()) {
     h = HashCombine(h, HashString(name));
-    h = HashCombine(h, rel.Fingerprint());
+    h = HashCombine(h, rel.Hash());
   }
   return h;
 }
@@ -34,7 +33,7 @@ uint64_t FingerprintState(const Database& db, const XsubValue& env) {
   for (const auto& [name, rel] : db.relations()) {
     h = HashCombine(h, HashString(name));
     const Relation* bound = env.Get(name);
-    h = HashCombine(h, bound != nullptr ? bound->Hash() : rel.Fingerprint());
+    h = HashCombine(h, bound != nullptr ? bound->Hash() : rel.Hash());
   }
   // Bindings outside the schema cannot exist (xsubs bind schema names), so
   // the loop above covers the whole environment.
@@ -45,7 +44,7 @@ uint64_t FingerprintState(const Database& db, const DeltaValue& env) {
   uint64_t h = 0x3F84D5B5B5470917ULL;
   for (const auto& [name, rel] : db.relations()) {
     h = HashCombine(h, HashString(name));
-    h = HashCombine(h, rel.Fingerprint());
+    h = HashCombine(h, rel.Hash());
     const DeltaPair* pair = env.Get(name);
     if (pair != nullptr) {
       h = HashCombine(h, pair->del.Hash());

@@ -111,12 +111,11 @@ bool Database::operator==(const Database& other) const {
 }
 
 uint64_t Database::Hash() const {
-  // Content hash: flat views hash as their base relation, so representation
-  // differences only show up for overlays (see RelationView::Fingerprint).
+  // Content hash: each view hashes as its merged content (RelationView::Hash).
   uint64_t h = 0x452821E638D01377ULL;
   for (const auto& [name, view] : relations_) {
     h = HashCombine(h, HashString(name));
-    h = HashCombine(h, view.Fingerprint());
+    h = HashCombine(h, view.Hash());
   }
   return h;
 }

@@ -70,8 +70,9 @@ class Database {
   /// no base pointer is shared with this state and OverlayEditBetween
   /// across the two states returns nullopt. The tuple storage of relations
   /// that were already flat is still shared (Relation copies share their
-  /// payload); overlays are merged into new storage. Kept as the flat-state
-  /// baseline and for callers that must sever base identity.
+  /// payload); overlays become new storage, merged when first read
+  /// (RelationView::Materialize). Kept as the flat-state baseline and for
+  /// callers that must sever base identity.
   Database Consolidated() const;
 
   /// Content equality (representation-independent: an overlay and a flat

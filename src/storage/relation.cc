@@ -3,10 +3,55 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/strings.h"
 
 namespace hql {
+
+namespace {
+
+// (base ∖ dels) ∪ adds in one sorted three-way merge.
+std::vector<Tuple> MergeOverlay(const std::vector<Tuple>& base,
+                                const std::vector<Tuple>& adds,
+                                const std::vector<Tuple>& dels) {
+  std::vector<Tuple> out;
+  out.reserve(base.size() + adds.size());
+  size_t bi = 0, ai = 0, di = 0;
+  while (bi < base.size() || ai < adds.size()) {
+    // Drop base tuples matched by the deletion cursor.
+    if (bi < base.size() && di < dels.size()) {
+      int cmp = CompareTuples(dels[di], base[bi]);
+      if (cmp < 0) {
+        ++di;
+        continue;
+      }
+      if (cmp == 0) {
+        ++bi;
+        ++di;
+        continue;
+      }
+    }
+    if (bi >= base.size()) {
+      out.push_back(adds[ai++]);
+    } else if (ai >= adds.size()) {
+      out.push_back(base[bi++]);
+    } else {
+      int cmp = CompareTuples(base[bi], adds[ai]);
+      if (cmp < 0) {
+        out.push_back(base[bi++]);
+      } else if (cmp > 0) {
+        out.push_back(adds[ai++]);
+      } else {
+        out.push_back(base[bi++]);
+        ++ai;  // add already present: keep one copy
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Relation Relation::FromTuples(size_t arity, std::vector<Tuple> tuples) {
   HQL_FAIL_POINT(kFailPointTupleAppend);
@@ -37,6 +82,30 @@ Relation Relation::FromSortedUnique(size_t arity, std::vector<Tuple> tuples) {
   return r;
 }
 
+Relation Relation::Deferred(std::shared_ptr<const Relation> base,
+                            std::vector<Tuple> adds, std::vector<Tuple> dels) {
+  HQL_CHECK(dels.size() <= base->size());
+  size_t size = base->size() - dels.size() + adds.size();
+  Relation r(base->arity());
+  if (size == 0) return r;  // nothing to merge, and no base to keep alive
+  uint64_t hash = HashAfterDelta(base->Hash(), adds, dels);
+  r.payload_ = std::make_shared<Payload>(
+      PendingMerge{std::move(base), std::move(adds), std::move(dels)}, size,
+      hash);
+  return r;
+}
+
+void Relation::Settle(Payload& payload) {
+  std::call_once(payload.settled, [&payload] {
+    HQL_FAIL_POINT(kFailPointTupleAppend);
+    PendingMerge& merge = payload.pending;
+    payload.tuples = MergeOverlay(merge.base->tuples(), merge.adds, merge.dels);
+    merge = PendingMerge();  // releases the base
+    AmbientExecContext().Add(ExecCounter::kViewTuplesCopied,
+                             payload.tuples.size());
+  });
+}
+
 bool Relation::Contains(const Tuple& t) const {
   return std::binary_search(begin(), end(), t, TupleLess());
 }
@@ -44,15 +113,15 @@ bool Relation::Contains(const Tuple& t) const {
 std::vector<Tuple>& Relation::MutableTuples() {
   if (payload_ == nullptr) {
     payload_ = std::make_shared<Payload>(std::vector<Tuple>());
-  } else if (payload_.use_count() > 1) {
-    payload_ = std::make_shared<Payload>(payload_->tuples);
+  } else if (payload_->deferred || payload_.use_count() > 1) {
+    payload_ = std::make_shared<Payload>(tuples());
   } else {
 #ifndef __SANITIZE_THREAD__  // TSan does not model fences
     // Sole owner. Pairs with the release decrement of a copy dropped on
     // another thread, so that copy's reads happen before our writes.
     std::atomic_thread_fence(std::memory_order_acquire);
 #endif
-    payload_->hash.store(0, std::memory_order_relaxed);
+    payload_->hash_known.store(false, std::memory_order_relaxed);
   }
   index_cache_.reset();
   batch_cache_.reset();
@@ -95,41 +164,7 @@ Relation Relation::ApplyTuples(const std::vector<Tuple>& adds,
     HQL_CHECK_MSG(both.empty(), "add/del sets must stay disjoint");
   }
 #endif
-  const std::vector<Tuple>& base = tuples();
-  std::vector<Tuple> out;
-  out.reserve(base.size() + adds.size());
-  size_t bi = 0, ai = 0, di = 0;
-  while (bi < base.size() || ai < adds.size()) {
-    // Drop base tuples matched by the deletion cursor.
-    if (bi < base.size() && di < dels.size()) {
-      int cmp = CompareTuples(dels[di], base[bi]);
-      if (cmp < 0) {
-        ++di;
-        continue;
-      }
-      if (cmp == 0) {
-        ++bi;
-        ++di;
-        continue;
-      }
-    }
-    if (bi >= base.size()) {
-      out.push_back(adds[ai++]);
-    } else if (ai >= adds.size()) {
-      out.push_back(base[bi++]);
-    } else {
-      int cmp = CompareTuples(base[bi], adds[ai]);
-      if (cmp < 0) {
-        out.push_back(base[bi++]);
-      } else if (cmp > 0) {
-        out.push_back(adds[ai++]);
-      } else {
-        out.push_back(base[bi++]);
-        ++ai;  // add already present: keep one copy
-      }
-    }
-  }
-  return FromSortedUnique(arity_, std::move(out));
+  return FromSortedUnique(arity_, MergeOverlay(tuples(), adds, dels));
 }
 
 Relation Relation::UnionWith(const Relation& other) const {
@@ -171,19 +206,41 @@ Relation Relation::ProductWith(const Relation& other) const {
 }
 
 bool Relation::operator==(const Relation& other) const {
-  if (arity_ != other.arity_) return false;
+  if (arity_ != other.arity_ || size() != other.size()) return false;
   return payload_ == other.payload_ || tuples() == other.tuples();
 }
 
+uint64_t Relation::HashTerm(const Tuple& t) {
+  // MurmurHash3's fmix64: spreads every input bit over the whole word, so
+  // the sum over a set does not cancel structure left by HashTuple.
+  uint64_t k = HashTuple(t);
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDULL;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+uint64_t Relation::HashAfterDelta(uint64_t hash,
+                                  const std::vector<Tuple>& adds,
+                                  const std::vector<Tuple>& dels) {
+  for (const Tuple& t : dels) hash -= HashTerm(t);
+  for (const Tuple& t : adds) hash += HashTerm(t);
+  return hash;
+}
+
 uint64_t Relation::Hash() const {
-  if (payload_ != nullptr) {
-    uint64_t cached = payload_->hash.load(std::memory_order_relaxed);
-    if (cached != 0) return cached;
+  if (payload_ != nullptr &&
+      payload_->hash_known.load(std::memory_order_acquire)) {
+    return payload_->hash.load(std::memory_order_relaxed);
   }
   uint64_t h = HashCombine(0x243F6A8885A308D3ULL, arity_);
-  for (const Tuple& t : *this) h = HashCombine(h, HashTuple(t));
-  if (h == 0) h = 1;
-  if (payload_ != nullptr) payload_->hash.store(h, std::memory_order_relaxed);
+  for (const Tuple& t : *this) h += HashTerm(t);
+  if (payload_ != nullptr) {
+    payload_->hash.store(h, std::memory_order_relaxed);
+    payload_->hash_known.store(true, std::memory_order_release);
+  }
   return h;
 }
 

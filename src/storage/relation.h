@@ -12,10 +12,17 @@
 // hash is computed once per payload, not once per copy. Insert and Erase
 // clone the payload first when it is shared (copy-on-write), so no copy
 // ever observes another copy's mutation.
+//
+// A payload may also be deferred (Relation::Deferred): it holds a shared
+// base and a canonical (adds, dels) overlay, and merges them into the
+// vector once, the first time anything reads the tuples. Its size and
+// content hash are known at construction, so an answer that is only
+// counted and hashed is never merged.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,14 +65,29 @@ class Relation {
   /// Builds from tuples already sorted and duplicate-free (checked in debug).
   static Relation FromSortedUnique(size_t arity, std::vector<Tuple> tuples);
 
+  /// The relation (base ∖ dels) ∪ adds, merged only when its tuples are
+  /// first read. `adds` and `dels` must be canonical against the base:
+  /// sorted, unique, dels ⊆ base and adds ∩ base = ∅ (RelationView's
+  /// overlay contract). O(|adds| + |dels|) given the base's cached hash:
+  /// size() and Hash() are computed here and never merge.
+  static Relation Deferred(std::shared_ptr<const Relation> base,
+                           std::vector<Tuple> adds, std::vector<Tuple> dels);
+
   size_t arity() const { return arity_; }
-  size_t size() const { return tuples().size(); }
-  bool empty() const { return tuples().empty(); }
+  /// O(1); never merges a deferred payload.
+  size_t size() const {
+    if (payload_ == nullptr) return 0;
+    return payload_->deferred ? payload_->deferred_size
+                              : payload_->tuples.size();
+  }
+  bool empty() const { return size() == 0; }
 
   /// The sorted tuples. Copies return the same vector until one of them is
-  /// mutated.
+  /// mutated. Merges a deferred payload on the first call (thread-safe).
   const std::vector<Tuple>& tuples() const {
-    return payload_ != nullptr ? payload_->tuples : kNoTuples;
+    if (payload_ == nullptr) return kNoTuples;
+    if (payload_->deferred) Settle(*payload_);
+    return payload_->tuples;
   }
   std::vector<Tuple>::const_iterator begin() const { return tuples().begin(); }
   std::vector<Tuple>::const_iterator end() const { return tuples().end(); }
@@ -96,15 +118,26 @@ class Relation {
   /// Cartesian product (arity = sum of arities).
   Relation ProductWith(const Relation& other) const;
 
-  /// Content equality; O(1) when both sides share a payload.
+  /// Content equality; O(1) when both sides share a payload or differ in
+  /// size.
   bool operator==(const Relation& other) const;
   bool operator!=(const Relation& other) const { return !(*this == other); }
 
-  /// Content hash, O(data) on first call and O(1) afterwards: the result is
-  /// cached on the payload, so all copies sharing it pay for one
-  /// computation (Insert and Erase start a fresh cache). Safe to call
-  /// concurrently.
+  /// Order-independent content hash of the tuple set: an arity seed plus
+  /// the sum, mod 2^64, of HashTerm(t) over the tuples. O(data) on first
+  /// call and O(1) afterwards: the result is cached on the payload, so all
+  /// copies sharing it pay for one computation (Insert and Erase start a
+  /// fresh cache). A deferred payload's hash is set at construction. Safe
+  /// to call concurrently.
   uint64_t Hash() const;
+
+  /// One tuple's summand in Hash(): a 64-bit finalizer of HashTuple(t).
+  static uint64_t HashTerm(const Tuple& t);
+
+  /// The hash of (R ∖ dels) ∪ adds given `hash` = R.Hash(), for an overlay
+  /// canonical against R. O(|adds| + |dels|).
+  static uint64_t HashAfterDelta(uint64_t hash, const std::vector<Tuple>& adds,
+                                 const std::vector<Tuple>& dels);
 
   /// "{(1, 'a'), (2, 'b')}".
   std::string ToString() const;
@@ -136,22 +169,49 @@ class Relation {
   struct IndexCache;
   struct BatchCache;
 
+  // The overlay a deferred payload merges on first read.
+  struct PendingMerge {
+    std::shared_ptr<const Relation> base;
+    std::vector<Tuple> adds;
+    std::vector<Tuple> dels;
+  };
+
   // The tuple storage shared by copies; written only while exclusively
-  // owned (see MutableTuples).
+  // owned (see MutableTuples). A deferred payload is written once, by
+  // Settle, and never again: MutableTuples replaces it.
   struct Payload {
     explicit Payload(std::vector<Tuple> sorted) : tuples(std::move(sorted)) {}
+    Payload(PendingMerge merge, size_t size, uint64_t content_hash)
+        : deferred(true),
+          deferred_size(size),
+          pending(std::move(merge)),
+          hash(content_hash),
+          hash_known(true) {}
 
-    std::vector<Tuple> tuples;  // sorted, unique
+    std::vector<Tuple> tuples;  // sorted, unique; a deferred one once settled
 
-    // 0 = not yet computed (a computed hash of 0 is stored as 1; the single
-    // collision costs one recomputation, never a wrong answer).
+    // Immutable after construction, so readers test them without a lock.
+    const bool deferred = false;
+    const size_t deferred_size = 0;
+
+    // Deferred payloads only: run once by Settle, which merges `pending`
+    // into `tuples` and then releases it.
+    std::once_flag settled;
+    PendingMerge pending;
+
+    // `hash` is valid once `hash_known` is set (release/acquire).
     std::atomic<uint64_t> hash{0};
+    std::atomic<bool> hash_known{false};
   };
 
   static inline const std::vector<Tuple> kNoTuples{};
 
-  /// The tuples for writing: clones a shared payload, clears the hash of an
-  /// owned one, and drops the index and batch caches.
+  /// Merges a deferred payload's overlay into its tuples, once. Charged to
+  /// the ambient ExecContext as view_tuples_copied.
+  static void Settle(Payload& payload);
+
+  /// The tuples for writing: clones a shared or deferred payload, clears the
+  /// hash of an owned one, and drops the index and batch caches.
   std::vector<Tuple>& MutableTuples();
 
   size_t arity_;

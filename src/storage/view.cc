@@ -164,9 +164,7 @@ Relation RelationView::Materialize() const {
     AmbientExecContext().Add(ExecCounter::kViewTuplesShared, base_->size());
     return *base_;
   }
-  Relation flat = base_->ApplyTuples(adds_, dels_);
-  AmbientExecContext().Add(ExecCounter::kViewTuplesCopied, flat.size());
-  return flat;
+  return Relation::Deferred(base_, adds_, dels_);
 }
 
 RelationPtr RelationView::Shared() const {
@@ -193,14 +191,8 @@ bool RelationView::ContentEquals(const RelationView& other) const {
   return a == ae && b == be;
 }
 
-uint64_t RelationView::Fingerprint() const {
-  if (is_flat()) return base_->Hash();
-  uint64_t h = HashCombine(0x9E3779B97F4A7C15ULL, base_->Hash());
-  h = HashCombine(h, adds_.size());
-  for (const Tuple& t : adds_) h = HashCombine(h, HashTuple(t));
-  h = HashCombine(h, dels_.size());
-  for (const Tuple& t : dels_) h = HashCombine(h, HashTuple(t));
-  return h;
+uint64_t RelationView::Hash() const {
+  return Relation::HashAfterDelta(base_->Hash(), adds_, dels_);
 }
 
 std::string RelationView::ToString() const {

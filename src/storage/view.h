@@ -89,9 +89,11 @@ class RelationView {
                           double consolidate_fraction =
                               kConsolidateFraction) const;
 
-  /// The merged content as a flat Relation. A flat view returns a copy of
-  /// its base, which shares the base's tuple payload (counted as shared);
-  /// an overlay merges into a fresh relation (counted as copied).
+  /// The content as a flat Relation. A flat view returns a copy of its
+  /// base, which shares the base's tuple payload (counted as shared). An
+  /// overlay returns a deferred relation (Relation::Deferred) in
+  /// O(|delta|): its size() and Hash() are known at once, and the merge runs
+  /// (counted as copied) only when its tuples are first read.
   Relation Materialize() const;
 
   /// The merged content as a shared flat relation. Flat views return their
@@ -108,14 +110,9 @@ class RelationView {
   /// materialization).
   bool ContentEquals(const RelationView& other) const;
 
-  /// Representation-aware content fingerprint: base hash combined with the
-  /// overlay hashes, O(|delta|) given the base's cached hash. Flat views
-  /// fingerprint exactly as their base relation's Hash(), so a flat view and
-  /// the relation it wraps agree. Two views with equal content but different
-  /// base/delta splits may fingerprint differently — callers (the memo
-  /// cache) only rely on equal representation ⇒ equal fingerprint, so a
-  /// split mismatch costs a cache miss, never a wrong hit.
-  uint64_t Fingerprint() const;
+  /// The content hash: equal to Relation::Hash() of the merged content,
+  /// whatever the base/delta split. O(|delta|) given the base's cached hash.
+  uint64_t Hash() const;
 
   std::string ToString() const;
 

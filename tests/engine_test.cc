@@ -658,6 +658,42 @@ TEST(SessionDeltaRouteTest, ReasksPatchTheLastRunAndMatchDirect) {
   }
 }
 
+// A re-ask answers with Q's patched last run, unmerged: its size and hash
+// come from the patch alone, and no tuple is copied to produce the answer.
+TEST(SessionDeltaRouteTest, ReasksAnswerWithoutMergingTheResult) {
+  Engine engine(TenKDb(), FastOptions());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK_AND_ASSIGN(SessionPtr ref, engine.CreateSession());
+  ASSERT_OK(ref->Set("strategy", "direct"));
+  DerivePath(s.get(), 8, kPathDepth);
+  DerivePath(ref.get(), 8, kPathDepth);
+  const std::string leaf = PathNode(kPathDepth);
+  const QueryPtr& query = ReaskQueries()[2];  // union/difference
+  ASSERT_OK(s->Query(leaf, query).status());  // the first ask runs Q in full
+  Rng rng(51);
+  for (int round = 0; round < 10; ++round) {
+    std::string node =
+        PathNode(static_cast<int>(rng.Uniform(1, kPathDepth)));
+    HypoExprPtr edge = InsertEdge(&rng);
+    ASSERT_OK(s->Edit(node, edge));
+    ASSERT_OK(ref->Edit(node, edge));
+    const ExecStats before = s->Stats();
+    ASSERT_OK_AND_ASSIGN(Relation got, s->Query(leaf, query));
+    const ExecStats after = s->Stats();
+    EXPECT_EQ(after.route, "hybrid-delta") << "round " << round;
+    EXPECT_EQ(after.incremental_results_patched,
+              before.incremental_results_patched + 1)
+        << "round " << round;
+    EXPECT_EQ(after.view_tuples_copied, before.view_tuples_copied)
+        << "round " << round;
+
+    ASSERT_OK_AND_ASSIGN(Relation want, ref->Query(leaf, query));
+    EXPECT_EQ(got.size(), want.size()) << "round " << round;
+    EXPECT_EQ(got.Hash(), want.Hash()) << "round " << round;
+    EXPECT_EQ(got, want) << "round " << round;
+  }
+}
+
 // Without an incremental cache (the `default` and `safe` profiles) nothing
 // patches Q's last run, so the overlay is not used: the join read stays on
 // HQL-3's delta route, and the select/project and union/difference reads,

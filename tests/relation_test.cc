@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/exec_context.h"
+#include "common/rng.h"
 #include "storage/index.h"
 #include "storage/stats.h"
+#include "storage/view.h"
 #include "tests/test_util.h"
 
 namespace hql {
@@ -208,6 +213,182 @@ TEST(RelationTest, ConcurrentCopiesReadAndMutateIndependently) {
   EXPECT_EQ(shared, reference);
   EXPECT_EQ(&shared.tuples(), &reference.tuples());
   EXPECT_EQ(shared.Hash(), hash);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred relations: RelationView::Materialize of an overlay, merged on the
+// first read of its tuples.
+
+// A random canonical split of a random set: a base, adds outside it and
+// dels inside it.
+struct Split {
+  std::shared_ptr<const Relation> base;
+  std::vector<Tuple> adds;
+  std::vector<Tuple> dels;
+  std::set<Tuple, TupleLess> merged;  // (base ∖ dels) ∪ adds
+};
+
+Split RandomSplit(Rng* rng) {
+  std::set<Tuple, TupleLess> base_set, others;
+  int64_t n = rng->Uniform(0, 60);
+  for (int64_t i = 0; i < n; ++i) {
+    base_set.insert(IntRow({rng->Uniform(0, 40), rng->Uniform(0, 3)}));
+  }
+  for (int64_t i = 0; i < 20; ++i) {
+    Tuple t = IntRow({rng->Uniform(0, 50), rng->Uniform(0, 3)});
+    if (base_set.count(t) == 0) others.insert(t);
+  }
+  Split split;
+  split.base = std::make_shared<const Relation>(Relation::FromTuples(
+      2, std::vector<Tuple>(base_set.begin(), base_set.end())));
+  for (const Tuple& t : base_set) {
+    if (rng->Bernoulli(0.3)) {
+      split.dels.push_back(t);
+    } else {
+      split.merged.insert(t);
+    }
+  }
+  for (const Tuple& t : others) {
+    if (rng->Bernoulli(0.5)) {
+      split.adds.push_back(t);
+      split.merged.insert(t);
+    }
+  }
+  return split;
+}
+
+Relation DeferredOf(const Split& split) {
+  return Relation::Deferred(split.base, split.adds, split.dels);
+}
+
+TEST(DeferredRelationTest, HashEqualsTheSettledAndRebuiltHash) {
+  Rng rng(25);
+  for (int trial = 0; trial < 200; ++trial) {
+    Split split = RandomSplit(&rng);
+    Relation rebuilt = Relation::FromTuples(
+        2, std::vector<Tuple>(split.merged.begin(), split.merged.end()));
+    RelationView view =
+        RelationView::Overlay(split.base, split.adds, split.dels);
+    Relation deferred = DeferredOf(split);
+
+    const uint64_t deferred_hash = deferred.Hash();
+    EXPECT_EQ(deferred.size(), split.merged.size()) << trial;
+    EXPECT_EQ(deferred_hash, rebuilt.Hash()) << trial;
+    EXPECT_EQ(deferred_hash, view.Hash()) << trial;
+    EXPECT_EQ(deferred_hash, view.Materialize().Hash()) << trial;
+
+    // Settle, then make the payload recompute its hash from the tuples.
+    EXPECT_EQ(deferred.tuples(),
+              std::vector<Tuple>(split.merged.begin(), split.merged.end()))
+        << trial;
+    EXPECT_EQ(deferred.Hash(), deferred_hash) << trial;
+    Relation recomputed = deferred;
+    recomputed.Insert(IntRow({-1, -1}));
+    recomputed.Erase(IntRow({-1, -1}));
+    EXPECT_EQ(recomputed.Hash(), deferred_hash) << trial;
+    EXPECT_EQ(deferred, rebuilt) << trial;
+  }
+}
+
+TEST(DeferredRelationTest, CountingHashingAndCopyingDoNotSettle) {
+  ExecContext ctx;
+  ExecContextScope scope(&ctx);
+  auto base = std::make_shared<const Relation>(
+      Ints({{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
+  Relation deferred = Relation::Deferred(base, {IntRow({5, 5})},
+                                         {IntRow({1, 1}), IntRow({3, 3})});
+  Relation copy = deferred;
+  Relation third(copy);
+  EXPECT_EQ(deferred.size(), 3u);
+  EXPECT_FALSE(deferred.empty());
+  EXPECT_EQ(copy.Hash(), Ints({{2, 2}, {4, 4}, {5, 5}}).Hash());
+  EXPECT_EQ(deferred, copy);  // shared payload
+  EXPECT_EQ(third, deferred);
+  EXPECT_NE(deferred, Ints({{1, 1}}));  // sizes differ
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 0u);
+
+  // The first read merges, once, for every copy.
+  EXPECT_EQ(deferred.tuples(), Ints({{2, 2}, {4, 4}, {5, 5}}).tuples());
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 3u);
+  EXPECT_EQ(&copy.tuples(), &deferred.tuples());
+  EXPECT_TRUE(third.Contains(IntRow({5, 5})));
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 3u);
+}
+
+TEST(DeferredRelationTest, EmptyResultNeedsNoMerge) {
+  ExecContext ctx;
+  ExecContextScope scope(&ctx);
+  auto base = std::make_shared<const Relation>(Ints({{1, 1}, {2, 2}}));
+  Relation none =
+      Relation::Deferred(base, {}, {IntRow({1, 1}), IntRow({2, 2})});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.Hash(), Relation(2).Hash());
+  EXPECT_EQ(none, Relation(2));
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 0u);
+}
+
+TEST(DeferredRelationTest, MutationSettlesIntoAPrivatePayload) {
+  auto base = std::make_shared<const Relation>(Ints({{1, 1}, {2, 2}}));
+  Relation deferred = Relation::Deferred(base, {IntRow({3, 3})}, {});
+  Relation mine = deferred;
+  mine.Insert(IntRow({4, 4}));
+  mine.Erase(IntRow({1, 1}));
+  EXPECT_EQ(mine, Ints({{2, 2}, {3, 3}, {4, 4}}));
+  EXPECT_EQ(mine.Hash(), Ints({{2, 2}, {3, 3}, {4, 4}}).Hash());
+  EXPECT_EQ(deferred, Ints({{1, 1}, {2, 2}, {3, 3}}));
+  // A sole owner still writes a private copy, never the settled payload.
+  Relation owned = Relation::Deferred(base, {}, {IntRow({2, 2})});
+  owned.Insert(IntRow({9, 9}));
+  EXPECT_EQ(owned, Ints({{1, 1}, {9, 9}}));
+  EXPECT_EQ(*base, Ints({{1, 1}, {2, 2}}));
+}
+
+// Readers settle one deferred payload concurrently while a writer copies and
+// mutates it; everyone sees the same content. The TSan build checks the
+// once-only merge for data races.
+TEST(DeferredRelationTest, ConcurrentReadersAndWriterSeeOneContent) {
+  Relation flat(2);
+  for (int64_t i = 0; i < 512; ++i) flat.Insert(IntRow({i, i % 7}));
+  auto base = std::make_shared<const Relation>(flat);
+  std::vector<Tuple> adds, dels;
+  for (int64_t i = 0; i < 16; ++i) {
+    adds.push_back(IntRow({1000 + i, 0}));
+    dels.push_back(IntRow({i * 8, (i * 8) % 7}));
+  }
+  for (int round = 0; round < 20; ++round) {
+    const Relation deferred = Relation::Deferred(base, adds, dels);
+    const Relation expected = flat.ApplyTuples(adds, dels);
+    const uint64_t hash = expected.Hash();
+
+    constexpr int kReaders = 8;
+    std::vector<int> failures(kReaders + 1, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        Relation copy = deferred;
+        if (t % 2 == 0) {
+          if (copy.tuples() != expected.tuples()) ++failures[t];
+          if (copy.Hash() != hash) ++failures[t];
+        } else {
+          if (copy.Hash() != hash) ++failures[t];
+          if (copy.tuples() != expected.tuples()) ++failures[t];
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      Relation mine = deferred;
+      mine.Insert(IntRow({-1, 0}));
+      if (mine.size() != expected.size() + 1) ++failures[kReaders];
+      if (mine.Hash() == hash) ++failures[kReaders];
+      mine.Erase(IntRow({-1, 0}));
+      if (mine != expected || mine.Hash() != hash) ++failures[kReaders];
+    });
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t <= kReaders; ++t) {
+      EXPECT_EQ(failures[t], 0) << "round " << round << " thread " << t;
+    }
+    EXPECT_EQ(deferred, expected);
+  }
 }
 
 TEST(SchemaTest, AddAndQuery) {

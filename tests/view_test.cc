@@ -37,7 +37,7 @@ TEST(RelationViewTest, FlatWrapBehavesLikeRelation) {
   EXPECT_TRUE(v.Contains(T(2, 2)));
   EXPECT_FALSE(v.Contains(T(2, 3)));
   EXPECT_EQ(v.Materialize(), r);
-  EXPECT_EQ(v.Fingerprint(), r.Hash());
+  EXPECT_EQ(v.Hash(), r.Hash());
   EXPECT_EQ(Collect(v), r.tuples());
 }
 
@@ -154,10 +154,43 @@ TEST(RelationViewTest, FingerprintDistinguishesContentChanges) {
   Relation r = Rel2({{1, 1}, {2, 2}});
   RelationView v(r);
   RelationView changed = v.ApplyDelta({T(3, 3)}, {}, 100.0);
-  EXPECT_NE(v.Fingerprint(), changed.Fingerprint());
+  EXPECT_NE(v.Hash(), changed.Hash());
   // Same base, same overlay => same fingerprint.
   RelationView again = v.ApplyDelta({T(3, 3)}, {}, 100.0);
-  EXPECT_EQ(changed.Fingerprint(), again.Fingerprint());
+  EXPECT_EQ(changed.Hash(), again.Hash());
+}
+
+TEST(RelationViewTest, HashIgnoresTheBaseDeltaSplit) {
+  Relation r = Rel2({{1, 1}, {2, 2}, {3, 3}});
+  Relation content = Rel2({{2, 2}, {3, 3}, {4, 4}});
+  RelationView overlay = RelationView(r).ApplyDelta({T(4, 4)}, {T(1, 1)},
+                                                    100.0);
+  RelationView other_base = RelationView(Rel2({{2, 2}, {5, 5}}))
+                                .ApplyDelta({T(3, 3), T(4, 4)}, {T(5, 5)},
+                                            100.0);
+  ASSERT_FALSE(overlay.is_flat());
+  ASSERT_FALSE(other_base.is_flat());
+  EXPECT_EQ(overlay.Hash(), content.Hash());
+  EXPECT_EQ(other_base.Hash(), content.Hash());
+  EXPECT_EQ(RelationView(content).Hash(), content.Hash());
+}
+
+TEST(RelationViewTest, MaterializeDefersTheMergeUntilRead) {
+  ExecContext ctx;
+  ExecContextScope scope(&ctx);
+  Relation r = Rel2({{1, 1}, {2, 2}, {3, 3}, {4, 4}});
+  RelationView v = RelationView(r).ApplyDelta({T(9, 9)}, {T(2, 2)}, 100.0);
+  Relation out = v.Materialize();
+  EXPECT_EQ(out.size(), 4u);
+  EXPECT_EQ(out.Hash(), v.Hash());
+  Relation copy = out;
+  EXPECT_EQ(copy, out);
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 0u);
+
+  EXPECT_EQ(Collect(v), out.tuples());
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 4u);
+  EXPECT_EQ(copy, Rel2({{1, 1}, {3, 3}, {4, 4}, {9, 9}}));
+  EXPECT_EQ(ctx.Snapshot().view_tuples_copied, 4u);
 }
 
 TEST(RelationViewTest, ViewSetAlgebraMatchesFlat) {
