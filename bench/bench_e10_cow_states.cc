@@ -1,26 +1,26 @@
-// E10 — Copy-on-write state derivation: overlay views vs copying.
+// E10 — Copy-on-write state derivation: overlays vs copying.
 //
 // The scenario behind the storage layer's existence: a large base relation
 // (100k rows) and a family of hypothetical states that each rewrite only a
 // handful of tuples. Deriving such a state used to cost a full copy of the
-// base; with RelationView it costs O(|edge delta| log |base|) — the base is
-// shared behind a refcount and only the overlay is owned.
+// base; as an overlay it costs O(|edge delta| log |base|) — the base is
+// shared behind a refcount and only the delta is owned.
 //
 // Rows (delta = total rewritten tuples, half inserts half deletes, on a
 // 100k-row base):
-//   DeriveOverlay/<delta>       child state via RelationView::ApplyDelta —
+//   DeriveOverlay/<delta>       child state via Relation::ApplyDelta —
 //                               the copy-on-write path.
 //   DeriveCopy/<delta>          child state via Relation::ApplyTuples — the
 //                               consolidating baseline (copies the base).
 //   QueryOverlay/<delta>        selection evaluated directly over the
-//                               overlay-backed state (merge iterators, no
-//                               consolidation).
+//                               overlay state (Relation::Scan, no
+//                               merge).
 //   QueryConsolidated/<delta>   the same selection over the copied state.
 //
 // Setup asserts bit-identical contents between the overlay and the copied
 // state, so the speedup is never purchased with a wrong answer. Counters
-// report the view layer's own accounting (views created, consolidations,
-// tuples shared vs copied) for the derivation rows.
+// report the overlay accounting (overlays created, consolidations, tuples
+// shared vs copied) for the derivation rows.
 // Run with --json to write BENCH_e10_cow_states.json.
 
 #include <benchmark/benchmark.h>
@@ -36,7 +36,6 @@
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "common/exec_context.h"
-#include "storage/view.h"
 
 namespace hql {
 namespace {
@@ -79,13 +78,13 @@ void ExportViewCounters(benchmark::State& state, const ExecContext& ctx) {
 void BM_DeriveOverlay(benchmark::State& state) {
   const size_t delta = static_cast<size_t>(state.range(0));
   Database db = MakeRS(11, kBaseRows, kKeyDomain);
-  RelationView base = Unwrap(db.GetView("R"));
-  auto [adds, dels] = MakeDelta(base.Flat(), delta);
+  const Relation& base = db.GetRef("R");
+  auto [adds, dels] = MakeDelta(base, delta);
   ExecContext ctx;
   ExecContextScope scope(&ctx);
   uint64_t derived = 0;
   for (auto _ : state) {
-    RelationView child = base.ApplyDelta(adds, dels);
+    Relation child = base.ApplyDelta(adds, dels);
     benchmark::DoNotOptimize(child.size());
     derived += child.size();
   }
@@ -96,9 +95,8 @@ void BM_DeriveOverlay(benchmark::State& state) {
 void BM_DeriveCopy(benchmark::State& state) {
   const size_t delta = static_cast<size_t>(state.range(0));
   Database db = MakeRS(11, kBaseRows, kKeyDomain);
-  RelationView base = Unwrap(db.GetView("R"));
-  auto [adds, dels] = MakeDelta(base.Flat(), delta);
-  const Relation& flat = base.Flat();
+  const Relation& flat = db.GetRef("R");
+  auto [adds, dels] = MakeDelta(flat, delta);
   uint64_t derived = 0;
   for (auto _ : state) {
     Relation child = flat.ApplyTuples(adds, dels);
@@ -108,21 +106,19 @@ void BM_DeriveCopy(benchmark::State& state) {
   state.counters["derived_size"] = static_cast<double>(derived);
 }
 
-// Shared query setup: a derived child database, either overlay-backed or
+// Shared query setup: a derived child database, either an overlay or
 // consolidated, plus a one-time equality check between the two.
 Database DeriveChild(const Database& db, size_t delta, bool overlay) {
-  RelationView base = Unwrap(db.GetView("R"));
-  auto [adds, dels] = MakeDelta(base.Flat(), delta);
-  RelationView child_view = base.ApplyDelta(adds, dels);
-  Relation child_flat = base.Flat().ApplyTuples(adds, dels);
-  HQL_CHECK_MSG(child_view.ContentEquals(RelationView(child_flat)),
+  const Relation& base = db.GetRef("R");
+  auto [adds, dels] = MakeDelta(base, delta);
+  Relation child_overlay = base.ApplyDelta(adds, dels);
+  Relation child_flat = base.ApplyTuples(adds, dels);
+  HQL_CHECK_MSG(child_overlay == child_flat,
                 "overlay and consolidated children must agree");
   Database out = db;
-  if (overlay) {
-    out.SetView("R", std::move(child_view));
-  } else {
-    HQL_CHECK(out.Set("R", std::move(child_flat)).ok());
-  }
+  HQL_CHECK(out.Set("R", overlay ? std::move(child_overlay)
+                                 : std::move(child_flat))
+                .ok());
   return out;
 }
 

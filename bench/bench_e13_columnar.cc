@@ -28,7 +28,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ast/builders.h"
@@ -39,7 +38,6 @@
 #include "eval/vector_exec.h"
 #include "storage/column_batch.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 #include "workload/generators.h"
 
 namespace hql {
@@ -56,22 +54,18 @@ constexpr size_t kBuildRows = 10000;
 // per process; the columnar batch cache on `base` is likewise shared by
 // every columnar benchmark (the install-once regime the cache targets).
 struct Fixture {
-  RelationPtr base;
-  RelationPtr build;
-  RelationView base_view;
-  RelationView build_view;
+  Relation base;
+  Relation build;
 
   Fixture()
-      : base(std::make_shared<Relation>([] {
+      : base([] {
           Rng rng(13);
           return GenRelation(&rng, kBaseRows, 2, kKeyDomain);
-        }())),
-        build(std::make_shared<Relation>([] {
+        }()),
+        build([] {
           Rng rng(17);
           return GenRelation(&rng, kBuildRows, 2, kKeyDomain);
-        }())),
-        base_view(base),
-        build_view(build) {}
+        }()) {}
 };
 
 Fixture& SharedFixture() {
@@ -101,10 +95,10 @@ ColumnarConfig Config(size_t threads) {
 void CheckSelectIdentity(const ColumnarConfig& config) {
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = SelectPred();
-  auto columnar = TryColumnarFilter(fx.base_view, pred, config);
+  auto columnar = TryColumnarFilter(fx.base, pred, config);
   HQL_CHECK_MSG(columnar.has_value(),
                 "columnar select must engage on the 1M-row flat base");
-  Relation row = FilterRelation(fx.base_view, *pred);
+  Relation row = FilterRelation(fx.base, *pred);
   HQL_CHECK_MSG(*columnar == row,
                 "columnar and row selects must agree bit-identically");
   HQL_CHECK_MSG(!row.empty(), "the workload must be non-trivial");
@@ -114,10 +108,10 @@ void CheckJoinIdentity(const ColumnarConfig& config) {
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = JoinPred();
   auto columnar =
-      TryColumnarJoin(fx.base_view, fx.build_view, pred, config);
+      TryColumnarJoin(fx.base, fx.build, pred, config);
   HQL_CHECK_MSG(columnar.has_value(),
                 "columnar join must engage on the 1M-row probe side");
-  Relation row = JoinRelations(fx.base_view, fx.build_view, pred);
+  Relation row = JoinRelations(fx.base, fx.build, pred);
   HQL_CHECK_MSG(*columnar == row,
                 "columnar and row joins must agree bit-identically");
   HQL_CHECK_MSG(!row.empty(), "the workload must be non-trivial");
@@ -142,7 +136,7 @@ void BM_SelectRow(benchmark::State& state) {
   ScalarExprPtr pred = SelectPred();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += FilterRelation(fx.base_view, *pred).size();
+    total += FilterRelation(fx.base, *pred).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
 }
@@ -156,7 +150,7 @@ void RunSelectColumnar(benchmark::State& state, size_t threads) {
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedFilter(fx.base_view, pred, no_indexes, config).size();
+    total += VectorizedFilter(fx.base, pred, no_indexes, config).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
   ExportColumnarCounters(state, before);
@@ -174,7 +168,7 @@ void BM_JoinRow(benchmark::State& state) {
   ScalarExprPtr pred = JoinPred();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += JoinRelations(fx.base_view, fx.build_view, pred).size();
+    total += JoinRelations(fx.base, fx.build, pred).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
 }
@@ -188,7 +182,7 @@ void RunJoinColumnar(benchmark::State& state, size_t threads) {
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedJoin(fx.base_view, fx.build_view, pred, no_indexes,
+    total += VectorizedJoin(fx.base, fx.build, pred, no_indexes,
                             config)
                  .size();
   }
@@ -209,11 +203,9 @@ void BM_JoinColumnarMorsel(benchmark::State& state) {
 void BM_OverlayFallback(benchmark::State& state) {
   Rng rng(19);
   Relation small = GenRelation(&rng, 100000, 2, kKeyDomain);
-  RelationPtr shared = std::make_shared<Relation>(std::move(small));
   Relation adds = GenRelation(&rng, 40000, 2, kKeyDomain);
-  Relation dels = SampleFraction(&rng, *shared, 0.1);
-  RelationView view =
-      RelationView::Overlay(shared, adds.tuples(), dels.tuples());
+  Relation dels = SampleFraction(&rng, small, 0.1);
+  Relation view = Relation::Overlay(small, adds.tuples(), dels.tuples());
   ScalarExprPtr pred = SelectPred();
 
   ColumnarConfig config = Config(/*threads=*/1);

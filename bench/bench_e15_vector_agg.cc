@@ -29,7 +29,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ast/builders.h"
@@ -40,7 +39,6 @@
 #include "eval/simd.h"
 #include "eval/vector_exec.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 #include "workload/generators.h"
 
 namespace hql {
@@ -52,22 +50,19 @@ constexpr size_t kBaseRows = 1000000;
 constexpr int64_t kKeyDomain = 65536;  // ~65k groups over 1M rows
 
 struct Fixture {
-  RelationPtr base;
-  RelationView base_view;
-  RelationView overlay_view{0};
+  Relation base;
+  Relation overlay{0};
 
   Fixture()
-      : base(std::make_shared<Relation>([] {
+      : base([] {
           Rng rng(23);
           return GenRelation(&rng, kBaseRows, 2, kKeyDomain);
-        }())),
-        base_view(base) {
+        }()) {
     // A small scenario delta (~0.5% of the base): the when-kernel regime.
     Rng rng(29);
-    Relation dels = SampleFraction(&rng, *base, 0.003);
+    Relation dels = SampleFraction(&rng, base, 0.003);
     Relation adds = GenRelation(&rng, 2000, 2, kKeyDomain);
-    overlay_view =
-        RelationView::Overlay(base, adds.tuples(), dels.tuples());
+    overlay = base.ApplyDelta(adds.tuples(), dels.tuples());
   }
 };
 
@@ -88,7 +83,7 @@ constexpr size_t kAggCol = 1;
 
 // Asserted once per benchmark family: the vectorized route engages on this
 // shape and returns the bit-identical relation the row kernel computes.
-void CheckAggIdentity(const RelationView& view, AggFunc func,
+void CheckAggIdentity(const Relation& view, AggFunc func,
                       const std::vector<size_t>& cols,
                       const ColumnarConfig& config) {
   auto columnar = TryColumnarAggregate(view, cols, func, kAggCol, config);
@@ -122,7 +117,7 @@ void BM_AggRow(benchmark::State& state) {
   uint64_t total = 0;
   for (auto _ : state) {
     total +=
-        AggregateRelation(fx.base_view, kGroupCols, AggFunc::kSum, kAggCol)
+        AggregateRelation(fx.base, kGroupCols, AggFunc::kSum, kAggCol)
             .size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
@@ -131,11 +126,11 @@ void BM_AggRow(benchmark::State& state) {
 void RunAggColumnar(benchmark::State& state, AggFunc func, size_t threads) {
   ColumnarConfig config = Config(threads);
   Fixture& fx = SharedFixture();
-  CheckAggIdentity(fx.base_view, func, kGroupCols, config);
+  CheckAggIdentity(fx.base, func, kGroupCols, config);
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedAggregate(fx.base_view, kGroupCols, func, kAggCol,
+    total += VectorizedAggregate(fx.base, kGroupCols, func, kAggCol,
                                  config)
                  .size();
   }
@@ -160,7 +155,7 @@ void BM_GlobalSumRow(benchmark::State& state) {
   Fixture& fx = SharedFixture();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += AggregateRelation(fx.base_view, {}, AggFunc::kSum, kAggCol)
+    total += AggregateRelation(fx.base, {}, AggFunc::kSum, kAggCol)
                  .size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
@@ -169,11 +164,11 @@ void BM_GlobalSumRow(benchmark::State& state) {
 void BM_GlobalSumSimd(benchmark::State& state) {
   ColumnarConfig config = Config(/*threads=*/1);
   Fixture& fx = SharedFixture();
-  CheckAggIdentity(fx.base_view, AggFunc::kSum, {}, config);
+  CheckAggIdentity(fx.base, AggFunc::kSum, {}, config);
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedAggregate(fx.base_view, {}, AggFunc::kSum, kAggCol,
+    total += VectorizedAggregate(fx.base, {}, AggFunc::kSum, kAggCol,
                                  config)
                  .size();
   }
@@ -188,7 +183,7 @@ void BM_WhenAggRow(benchmark::State& state) {
   Fixture& fx = SharedFixture();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += AggregateRelation(fx.overlay_view, kGroupCols, AggFunc::kSum,
+    total += AggregateRelation(fx.overlay, kGroupCols, AggFunc::kSum,
                                kAggCol)
                  .size();
   }
@@ -198,11 +193,11 @@ void BM_WhenAggRow(benchmark::State& state) {
 void BM_WhenAggColumnar(benchmark::State& state) {
   ColumnarConfig config = Config(/*threads=*/1);
   Fixture& fx = SharedFixture();
-  CheckAggIdentity(fx.overlay_view, AggFunc::kSum, kGroupCols, config);
+  CheckAggIdentity(fx.overlay, AggFunc::kSum, kGroupCols, config);
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedAggregate(fx.overlay_view, kGroupCols, AggFunc::kSum,
+    total += VectorizedAggregate(fx.overlay, kGroupCols, AggFunc::kSum,
                                  kAggCol, config)
                  .size();
   }

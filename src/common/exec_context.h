@@ -70,7 +70,8 @@ struct OperatorSpan {
   X(memo_misses, kMemoMisses, kSum, "exec")                                   \
   X(plan_cache_hits, kPlanCacheHits, kSum, "exec")                            \
   X(plan_cache_misses, kPlanCacheMisses, kSum, "exec")                        \
-  /* Copy-on-write view layer (storage/view.h). */                            \
+  /* Copy-on-write overlays (storage/relation.h): overlays created by */      \
+  /* ApplyDelta, their consolidations, and tuples shared or copied. */        \
   X(views_created, kViewsCreated, kSum, "views")                              \
   X(view_consolidations, kViewConsolidations, kSum, "views")                  \
   X(view_tuples_shared, kViewTuplesShared, kSum, "views")                     \

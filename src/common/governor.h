@@ -64,8 +64,10 @@ struct ExecBudget {
   int64_t deadline_ms = 0;
 
   /// Cap on tuples *produced* by physical operators (filter/project/join/
-  /// aggregate/delta outputs), summed over the whole execution. Producing
-  /// exactly max_tuples succeeds; one more trips.
+  /// product/aggregate/delta outputs), summed over the whole execution.
+  /// Producing exactly max_tuples succeeds; one more trips. Union,
+  /// intersection and difference are not charged: their output is bounded
+  /// by the size of their inputs.
   uint64_t max_tuples = 0;
 
   /// Cap on nodes produced by the HQL rewriters (reduce / enf / collapse,

@@ -47,8 +47,8 @@ Result<Database> DeltaValue::ApplyTo(const Database& db) const {
     // Each touched relation becomes an overlay on the shared base:
     // O(|delta|) per name (ApplyDelta consolidates only past the
     // break-even fraction).
-    HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(name));
-    HQL_RETURN_IF_ERROR(out.SetView(
+    HQL_ASSIGN_OR_RETURN(Relation base, db.Get(name));
+    HQL_RETURN_IF_ERROR(out.Set(
         name, base.ApplyDelta(pair.ins.tuples(), pair.del.tuples())));
   }
   return out;

@@ -1,6 +1,5 @@
 #include "eval/delta_ops.h"
 
-#include <limits>
 #include <optional>
 #include <unordered_map>
 
@@ -226,7 +225,7 @@ namespace {
 /// directly: a kRel naming a schema relation with no temp binding shadowing
 /// it (temp bindings never take deltas; they go through the generic path).
 bool IsStoredLeaf(const QueryPtr& q, const Database& db,
-                  const std::map<std::string, RelationView>* temps) {
+                  const std::map<std::string, Relation>* temps) {
   if (q->kind() != QueryKind::kRel) return false;
   if (temps != nullptr && temps->find(q->rel_name()) != temps->end()) {
     return false;
@@ -235,20 +234,19 @@ bool IsStoredLeaf(const QueryPtr& q, const Database& db,
 }
 
 /// The leaf's hypothetical state as an overlay that never consolidates
-/// (infinite fraction forces stacking), so the stored base keeps its
-/// identity and its cached column batch / index serve every hypothetical
-/// state in the family. A delta that canonicalizes to nothing (inserts
-/// already present, deletes already absent) leaves the view flat — the
-/// caller can then take the same fast path as the no-delta case.
-RelationView OverlayLeaf(const RelationView& stored, const DeltaPair* p) {
+/// (Relation::Overlay), so the stored base keeps its identity and its
+/// cached column batch / index serve every hypothetical state in the
+/// family. A delta that canonicalizes to nothing (inserts already present,
+/// deletes already absent) leaves the stored relation itself — the caller
+/// can then take the same fast path as the no-delta case.
+Relation OverlayLeaf(const Relation& stored, const DeltaPair* p) {
   if (p == nullptr) return stored;
-  return stored.ApplyDelta(p->ins.tuples(), p->del.tuples(),
-                           std::numeric_limits<double>::infinity());
+  return Relation::Overlay(stored, p->ins.tuples(), p->del.tuples());
 }
 
-Result<RelationView> EvalFilterDNode(
+Result<Relation> EvalFilterDNode(
     const QueryPtr& query, const Database& db, const DeltaValue& delta,
-    const std::map<std::string, RelationView>* temps,
+    const std::map<std::string, Relation>* temps,
     const IndexConfig& config, const ColumnarConfig& columnar) {
   if (query == nullptr) {
     return Status::InvalidArgument("EvalFilterD: query must not be null");
@@ -262,16 +260,15 @@ Result<RelationView> EvalFilterDNode(
       }
       // The hypothetical relation (DB(R) - R_D) u R_I is an overlay on the
       // shared base: O(|delta|), and free when the delta leaves R alone.
-      HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(query->rel_name()));
+      HQL_ASSIGN_OR_RETURN(Relation stored, db.Get(query->rel_name()));
       const DeltaPair* p = delta.Get(query->rel_name());
-      if (p == nullptr) return base;
-      return base.ApplyDelta(p->ins.tuples(), p->del.tuples());
+      if (p == nullptr) return stored;
+      return stored.ApplyDelta(p->ins.tuples(), p->del.tuples());
     }
     case QueryKind::kEmpty:
-      return RelationView(query->empty_arity());
+      return Relation(query->empty_arity());
     case QueryKind::kSingleton:
-      return RelationView(
-          Relation::FromTuples(query->tuple().size(), {query->tuple()}));
+      return Relation::FromTuples(query->tuple().size(), {query->tuple()});
     case QueryKind::kSelect: {
       // A selection over a stored leaf resolves the hypothetical state as
       // a never-consolidated overlay on the shared base, then routes index
@@ -282,19 +279,19 @@ Result<RelationView> EvalFilterDNode(
       // streaming when-kernel, which never materializes either.
       if (IsStoredLeaf(query->left(), db, temps)) {
         const std::string& name = query->left()->rel_name();
-        HQL_ASSIGN_OR_RETURN(RelationView stored, db.GetView(name));
+        const Relation& stored = db.GetRef(name);
         const DeltaPair* p = delta.Get(name);
-        RelationView in = OverlayLeaf(stored, p);
+        Relation in = OverlayLeaf(stored, p);
         std::optional<Relation> fast =
             TryIndexedFilter(in, query->predicate(), config);
-        if (fast.has_value()) return RelationView(*std::move(fast));
+        if (fast.has_value()) return *std::move(fast);
         std::optional<Relation> col =
             TryColumnarFilter(in, query->predicate(), columnar);
         if (col.has_value()) {
           if (p != nullptr) {
             AmbientExecContext().Add(ExecCounter::kColumnarWhenRouted);
           }
-          return RelationView(*std::move(col));
+          return *std::move(col);
         }
         if (columnar.enabled()) {
           AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback,
@@ -303,58 +300,55 @@ Result<RelationView> EvalFilterDNode(
         if (stored.is_flat()) {
           // A delta that canonicalized to nothing streams the flat base
           // (nullptr delta), not the stale delta pair.
-          return RelationView(SelectWhen(*stored.base(),
-                                         in.is_flat() ? nullptr : p,
-                                         *query->predicate()));
+          return SelectWhen(stored, in.is_flat() ? nullptr : p,
+                            *query->predicate());
         }
-        return RelationView(FilterRelation(in, *query->predicate()));
+        return FilterRelation(in, *query->predicate());
       }
       HQL_ASSIGN_OR_RETURN(
-          RelationView in,
+          Relation in,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
-      return RelationView(
-          VectorizedFilter(in, query->predicate(), config, columnar));
+      return VectorizedFilter(in, query->predicate(), config, columnar);
     }
     case QueryKind::kProject: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView in,
+          Relation in,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
-      return RelationView(ProjectRelation(in, query->columns()));
+      return ProjectRelation(in, query->columns());
     }
     case QueryKind::kAggregate: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView in,
+          Relation in,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
-      return RelationView(VectorizedAggregate(in, query->columns(),
-                                              query->agg_func(),
-                                              query->agg_column(), columnar));
+      return VectorizedAggregate(in, query->columns(), query->agg_func(),
+                                 query->agg_column(), columnar);
     }
     case QueryKind::kUnion: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView l,
+          Relation l,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
       HQL_ASSIGN_OR_RETURN(
-          RelationView r,
+          Relation r,
           EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
-      return RelationView(ViewUnion(l, r));
+      return l.UnionWith(r);
     }
     case QueryKind::kIntersect: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView l,
+          Relation l,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
       HQL_ASSIGN_OR_RETURN(
-          RelationView r,
+          Relation r,
           EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
-      return RelationView(ViewIntersect(l, r));
+      return l.IntersectWith(r);
     }
     case QueryKind::kProduct: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView l,
+          Relation l,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
       HQL_ASSIGN_OR_RETURN(
-          RelationView r,
+          Relation r,
           EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
-      return RelationView(ViewProduct(l, r));
+      return l.ProductWith(r);
     }
     case QueryKind::kJoin: {
       // An equi-join of two stored leaves resolves both hypothetical
@@ -366,22 +360,22 @@ Result<RelationView> EvalFilterDNode(
           IsStoredLeaf(query->right(), db, temps)) {
         const std::string& lname = query->left()->rel_name();
         const std::string& rname = query->right()->rel_name();
-        HQL_ASSIGN_OR_RETURN(RelationView lstored, db.GetView(lname));
-        HQL_ASSIGN_OR_RETURN(RelationView rstored, db.GetView(rname));
+        const Relation& lstored = db.GetRef(lname);
+        const Relation& rstored = db.GetRef(rname);
         const DeltaPair* pl = delta.Get(lname);
         const DeltaPair* pr = delta.Get(rname);
-        RelationView l = OverlayLeaf(lstored, pl);
-        RelationView r = OverlayLeaf(rstored, pr);
+        Relation l = OverlayLeaf(lstored, pl);
+        Relation r = OverlayLeaf(rstored, pr);
         std::optional<Relation> fast =
             TryIndexedJoin(l, r, query->predicate(), config);
-        if (fast.has_value()) return RelationView(*std::move(fast));
+        if (fast.has_value()) return *std::move(fast);
         std::optional<Relation> col =
             TryColumnarJoin(l, r, query->predicate(), columnar);
         if (col.has_value()) {
           if (pl != nullptr || pr != nullptr) {
             AmbientExecContext().Add(ExecCounter::kColumnarWhenRouted);
           }
-          return RelationView(*std::move(col));
+          return *std::move(col);
         }
         if (columnar.enabled()) {
           AmbientExecContext().Add(ExecCounter::kColumnarRowsFallback,
@@ -392,32 +386,29 @@ Result<RelationView> EvalFilterDNode(
           if (FindEquiConjunct(query->predicate(), lstored.arity(), &lcol,
                                &rcol)) {
             // Deltas that canonicalized to nothing stream the flat bases.
-            return RelationView(JoinWhen(*lstored.base(),
-                                         l.is_flat() ? nullptr : pl,
-                                         *rstored.base(),
-                                         r.is_flat() ? nullptr : pr, lcol,
-                                         rcol, query->predicate()));
+            return JoinWhen(lstored, l.is_flat() ? nullptr : pl, rstored,
+                            r.is_flat() ? nullptr : pr, lcol, rcol,
+                            query->predicate());
           }
         }
-        return RelationView(JoinRelations(l, r, query->predicate()));
+        return JoinRelations(l, r, query->predicate());
       }
       HQL_ASSIGN_OR_RETURN(
-          RelationView l,
+          Relation l,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
       HQL_ASSIGN_OR_RETURN(
-          RelationView r,
+          Relation r,
           EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
-      return RelationView(
-          VectorizedJoin(l, r, query->predicate(), config, columnar));
+      return VectorizedJoin(l, r, query->predicate(), config, columnar);
     }
     case QueryKind::kDifference: {
       HQL_ASSIGN_OR_RETURN(
-          RelationView l,
+          Relation l,
           EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
       HQL_ASSIGN_OR_RETURN(
-          RelationView r,
+          Relation r,
           EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
-      return RelationView(ViewDifference(l, r));
+      return l.DifferenceWith(r);
     }
     case QueryKind::kWhen:
       return Status::InvalidArgument(
@@ -429,28 +420,16 @@ Result<RelationView> EvalFilterDNode(
 
 }  // namespace
 
-Result<RelationView> EvalFilterDView(
-    const QueryPtr& query, const Database& db, const DeltaValue& delta,
-    const std::map<std::string, RelationView>* temps,
-    const IndexConfig& config, const ColumnarConfig& columnar) {
-  HQL_ASSIGN_OR_RETURN(
-      RelationView out,
-      EvalFilterDNode(query, db, delta, temps, config, columnar));
-  // Discard a root-operator kernel's truncated output on trip.
-  HQL_RETURN_IF_ERROR(GovernorCheck());
-  return out;
-}
-
 Result<Relation> EvalFilterD(const QueryPtr& query, const Database& db,
                              const DeltaValue& delta,
-                             const std::map<std::string, RelationView>* temps,
+                             const std::map<std::string, Relation>* temps,
                              const IndexConfig& config,
                              const ColumnarConfig& columnar) {
   HQL_ASSIGN_OR_RETURN(
-      RelationView out,
-      EvalFilterDNode(query, db, delta, temps, config, columnar));
+      Relation out, EvalFilterDNode(query, db, delta, temps, config, columnar));
+  // Discard a root-operator kernel's truncated output on trip.
   HQL_RETURN_IF_ERROR(GovernorCheck());
-  return out.Materialize();
+  return out;
 }
 
 }  // namespace hql

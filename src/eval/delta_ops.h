@@ -68,9 +68,10 @@ Relation SelectWhen(const Relation& base, const DeltaPair* delta,
 /// read as (DB(R) - R_D) u R_I. Leaf scans become delta overlays on the
 /// shared base relation (never copied), selections and top-level equi-joins
 /// of flat base relations use the streaming *-when operators, and every
-/// other shape consumes copy-on-write views through the merge-aware
-/// relational operators. `temps` (nullable) resolves collapse placeholders
-/// ("#i") to already-computed views, which the delta does not filter.
+/// other shape scans its overlay inputs through the relational operators
+/// without merging them. The result may itself be an unmerged leaf overlay.
+/// `temps` (nullable) resolves collapse placeholders ("#i") to
+/// already-computed relations, which the delta does not filter.
 /// `config` (default off) lets equality selections and equi-joins probe
 /// base-relation indexes, patched with the delta at probe time.
 /// `columnar` (default off) lets large flat-base selections and equi-joins
@@ -78,18 +79,10 @@ Relation SelectWhen(const Relation& base, const DeltaPair* delta,
 /// patched in row-wise.
 Result<Relation> EvalFilterD(const QueryPtr& query, const Database& db,
                              const DeltaValue& delta,
-                             const std::map<std::string, RelationView>* temps =
+                             const std::map<std::string, Relation>* temps =
                                  nullptr,
                              const IndexConfig& config = IndexConfig(),
                              const ColumnarConfig& columnar = ColumnarConfig());
-
-/// EvalFilterD returning the result as a view: an untouched leaf scan is a
-/// refcount bump and a delta'd leaf is an O(|delta|) overlay.
-Result<RelationView> EvalFilterDView(
-    const QueryPtr& query, const Database& db, const DeltaValue& delta,
-    const std::map<std::string, RelationView>* temps = nullptr,
-    const IndexConfig& config = IndexConfig(),
-    const ColumnarConfig& columnar = ColumnarConfig());
 
 }  // namespace hql
 

@@ -81,19 +81,19 @@ Result<Database> ExecUpdate(const UpdatePtr& update, const Database& db) {
       // DB[R <- R u Q]: the update argument becomes an add-overlay on the
       // shared base — O(|arg|), never a copy of R.
       HQL_ASSIGN_OR_RETURN(Relation arg, EvalDirect(update->query(), db));
-      HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(update->rel_name()));
+      HQL_ASSIGN_OR_RETURN(Relation base, db.Get(update->rel_name()));
       Database out = db;
       HQL_RETURN_IF_ERROR(
-          out.SetView(update->rel_name(), base.ApplyDelta(arg.tuples(), {})));
+          out.Set(update->rel_name(), base.ApplyDelta(arg.tuples(), {})));
       return out;
     }
     case UpdateKind::kDelete: {
       // DB[R <- R - Q]: a del-overlay on the shared base.
       HQL_ASSIGN_OR_RETURN(Relation arg, EvalDirect(update->query(), db));
-      HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(update->rel_name()));
+      HQL_ASSIGN_OR_RETURN(Relation base, db.Get(update->rel_name()));
       Database out = db;
       HQL_RETURN_IF_ERROR(
-          out.SetView(update->rel_name(), base.ApplyDelta({}, arg.tuples())));
+          out.Set(update->rel_name(), base.ApplyDelta({}, arg.tuples())));
       return out;
     }
     case UpdateKind::kSeq: {
@@ -142,9 +142,9 @@ Result<Database> EvalState(const HypoExprPtr& state, const Database& db) {
       HQL_ASSIGN_OR_RETURN(Database moved, EvalState(state->first(), context));
       Database out = db;
       for (const std::string& name : DomNames(state->first())) {
-        // Move the written view across, preserving its overlay structure.
-        HQL_ASSIGN_OR_RETURN(RelationView value, moved.GetView(name));
-        HQL_RETURN_IF_ERROR(out.SetView(name, std::move(value)));
+        // Move the written relation across, preserving its overlay.
+        HQL_ASSIGN_OR_RETURN(Relation value, moved.Get(name));
+        HQL_RETURN_IF_ERROR(out.Set(name, std::move(value)));
       }
       return out;
     }

@@ -11,62 +11,63 @@ namespace hql {
 
 namespace {
 
-// Results flow through the recursion as copy-on-write views: leaf scans and
-// environment lookups are refcount bumps, only operator outputs allocate.
-Result<RelationView> F1(const QueryPtr& q, const Database& db,
-                        const XsubValue& env) {
+// Results flow through the recursion as copy-on-write relations: leaf scans
+// and environment lookups are refcount bumps, only operator outputs
+// allocate.
+Result<Relation> F1(const QueryPtr& q, const Database& db,
+                    const XsubValue& env) {
   HQL_RETURN_IF_ERROR(GovernorCheck());
   switch (q->kind()) {
     case QueryKind::kRel: {
-      RelationPtr bound = env.GetShared(q->rel_name());
-      if (bound != nullptr) return RelationView(std::move(bound));
-      return db.GetView(q->rel_name());
+      if (const Relation* bound = env.Get(q->rel_name())) {
+        return bound->SharedCopy();
+      }
+      return db.Get(q->rel_name());
     }
     case QueryKind::kEmpty:
-      return RelationView(q->empty_arity());
+      return Relation(q->empty_arity());
     case QueryKind::kSingleton:
-      return RelationView(
-          Relation::FromTuples(q->tuple().size(), {q->tuple()}));
+      return Relation::FromTuples(q->tuple().size(), {q->tuple()});
     case QueryKind::kSelect: {
-      HQL_ASSIGN_OR_RETURN(RelationView in, F1(q->left(), db, env));
-      return RelationView(FilterRelation(in, *q->predicate()));
+      HQL_ASSIGN_OR_RETURN(Relation in, F1(q->left(), db, env));
+      return FilterRelation(in, *q->predicate());
     }
     case QueryKind::kProject: {
-      HQL_ASSIGN_OR_RETURN(RelationView in, F1(q->left(), db, env));
-      return RelationView(ProjectRelation(in, q->columns()));
+      HQL_ASSIGN_OR_RETURN(Relation in, F1(q->left(), db, env));
+      return ProjectRelation(in, q->columns());
     }
     case QueryKind::kAggregate: {
-      HQL_ASSIGN_OR_RETURN(RelationView in, F1(q->left(), db, env));
-      return RelationView(
-          AggregateRelation(in, q->columns(), q->agg_func(), q->agg_column()));
+      HQL_ASSIGN_OR_RETURN(Relation in, F1(q->left(), db, env));
+      return AggregateRelation(in, q->columns(), q->agg_func(),
+                               q->agg_column());
     }
     case QueryKind::kUnion: {
-      HQL_ASSIGN_OR_RETURN(RelationView l, F1(q->left(), db, env));
-      HQL_ASSIGN_OR_RETURN(RelationView r, F1(q->right(), db, env));
-      return RelationView(ViewUnion(l, r));
+      HQL_ASSIGN_OR_RETURN(Relation l, F1(q->left(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation r, F1(q->right(), db, env));
+      return l.UnionWith(r);
     }
     case QueryKind::kIntersect: {
-      HQL_ASSIGN_OR_RETURN(RelationView l, F1(q->left(), db, env));
-      HQL_ASSIGN_OR_RETURN(RelationView r, F1(q->right(), db, env));
-      return RelationView(ViewIntersect(l, r));
+      HQL_ASSIGN_OR_RETURN(Relation l, F1(q->left(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation r, F1(q->right(), db, env));
+      return l.IntersectWith(r);
     }
     case QueryKind::kProduct: {
       // HQL-1 materializes the full product — deliberately no clustering.
-      HQL_ASSIGN_OR_RETURN(RelationView l, F1(q->left(), db, env));
-      HQL_ASSIGN_OR_RETURN(RelationView r, F1(q->right(), db, env));
-      return RelationView(ViewProduct(l, r));
+      HQL_ASSIGN_OR_RETURN(Relation l, F1(q->left(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation r, F1(q->right(), db, env));
+      return l.ProductWith(r);
     }
     case QueryKind::kJoin: {
-      HQL_ASSIGN_OR_RETURN(RelationView l, F1(q->left(), db, env));
-      HQL_ASSIGN_OR_RETURN(RelationView r, F1(q->right(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation l, F1(q->left(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation r, F1(q->right(), db, env));
       // One node = one operation: the join itself is a single algebraic
       // operator, so evaluating it as such is within HQL-1's discipline.
-      return RelationView(JoinRelations(l, r, q->predicate()));
+      return JoinRelations(l, r, q->predicate());
     }
     case QueryKind::kDifference: {
-      HQL_ASSIGN_OR_RETURN(RelationView l, F1(q->left(), db, env));
-      HQL_ASSIGN_OR_RETURN(RelationView r, F1(q->right(), db, env));
-      return RelationView(ViewDifference(l, r));
+      HQL_ASSIGN_OR_RETURN(Relation l, F1(q->left(), db, env));
+      HQL_ASSIGN_OR_RETURN(Relation r, F1(q->right(), db, env));
+      return l.DifferenceWith(r);
     }
     case QueryKind::kWhen: {
       const HypoExprPtr& state = q->state();
@@ -77,8 +78,8 @@ Result<RelationView> F1(const QueryPtr& q, const Database& db,
       // filter1(e, E): materialize the substitution under the current env.
       XsubValue e_val;
       for (const Binding& b : state->bindings()) {
-        HQL_ASSIGN_OR_RETURN(RelationView v, F1(b.query, db, env));
-        e_val.Bind(b.rel_name, v.Shared());
+        HQL_ASSIGN_OR_RETURN(Relation v, F1(b.query, db, env));
+        e_val.Bind(b.rel_name, std::move(v));
       }
       return F1(q->left(), db, env.SmashWith(e_val));
     }
@@ -100,10 +101,10 @@ Result<Relation> RunFilter1(const QueryPtr& query, const Database& db,
   }
   const XsubValue empty;
   HQL_ASSIGN_OR_RETURN(
-      RelationView out,
+      Relation out,
       F1(query, db, options.env != nullptr ? *options.env : empty));
   HQL_RETURN_IF_ERROR(GovernorCheck());
-  return out.Materialize();
+  return out;
 }
 
 }  // namespace hql

@@ -16,10 +16,9 @@ class XsubResolver : public RelResolver {
   XsubResolver(const Database& db, const XsubValue& env)
       : db_(&db), env_(&env) {}
 
-  Result<RelationView> Resolve(const std::string& name) const override {
-    RelationPtr bound = env_->GetShared(name);
-    if (bound != nullptr) return RelationView(std::move(bound));
-    return db_->GetView(name);
+  Result<Relation> Resolve(const std::string& name) const override {
+    if (const Relation* bound = env_->Get(name)) return bound->SharedCopy();
+    return db_->Get(name);
   }
 
  private:
@@ -27,17 +26,17 @@ class XsubResolver : public RelResolver {
   const XsubValue* env_;
 };
 
-Result<RelationView> F2(const CollapsedPtr& node, const Database& db,
-                        const XsubValue& env) {
+Result<Relation> F2(const CollapsedPtr& node, const Database& db,
+                    const XsubValue& env) {
   HQL_RETURN_IF_ERROR(GovernorCheck());
   if (node->kind == CollapsedKind::kBlock) {
     XsubResolver base(db, env);
     OverlayResolver resolver(base);
     for (size_t i = 0; i < node->holes.size(); ++i) {
-      HQL_ASSIGN_OR_RETURN(RelationView hole, F2(node->holes[i], db, env));
+      HQL_ASSIGN_OR_RETURN(Relation hole, F2(node->holes[i], db, env));
       resolver.Bind(PlaceholderName(i), std::move(hole));
     }
-    return EvalRaView(node->block, resolver, EvalMemo{});
+    return EvalRa(node->block, resolver);
   }
   // kWhen.
   if (node->state_is_update) {
@@ -47,8 +46,8 @@ Result<RelationView> F2(const CollapsedPtr& node, const Database& db,
   }
   XsubValue e_val;
   for (const CollapsedBinding& b : node->bindings) {
-    HQL_ASSIGN_OR_RETURN(RelationView v, F2(b.value, db, env));
-    e_val.Bind(b.rel_name, v.Shared());
+    HQL_ASSIGN_OR_RETURN(Relation v, F2(b.value, db, env));
+    e_val.Bind(b.rel_name, std::move(v));
   }
   return F2(node->input, db, env.SmashWith(e_val));
 }
@@ -70,10 +69,10 @@ Result<Relation> RunFilter2(const QueryPtr& query, const Database& db,
   }
   const XsubValue empty;
   HQL_ASSIGN_OR_RETURN(
-      RelationView out,
+      Relation out,
       F2(tree, db, options.env != nullptr ? *options.env : empty));
   HQL_RETURN_IF_ERROR(GovernorCheck());
-  return out.Materialize();
+  return out;
 }
 
 }  // namespace hql

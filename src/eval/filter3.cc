@@ -14,18 +14,18 @@ namespace hql {
 
 namespace {
 
-Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
-                        const DeltaValue& env, const IndexConfig& config,
-                        const ColumnarConfig& columnar) {
+Result<Relation> F3(const CollapsedPtr& node, const Database& db,
+                    const DeltaValue& env, const IndexConfig& config,
+                    const ColumnarConfig& columnar) {
   HQL_RETURN_IF_ERROR(GovernorCheck());
   if (node->kind == CollapsedKind::kBlock) {
-    std::map<std::string, RelationView> temps;
+    std::map<std::string, Relation> temps;
     for (size_t i = 0; i < node->holes.size(); ++i) {
-      HQL_ASSIGN_OR_RETURN(RelationView hole,
+      HQL_ASSIGN_OR_RETURN(Relation hole,
                            F3(node->holes[i], db, env, config, columnar));
       temps.emplace(PlaceholderName(i), std::move(hole));
     }
-    return EvalFilterDView(node->block, db, env, &temps, config, columnar);
+    return EvalFilterD(node->block, db, env, &temps, config, columnar);
   }
   // kWhen.
   if (!node->state_is_update) {
@@ -33,25 +33,23 @@ Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
     // captures the substitution's xsub-value in the current hypothetical
     // state — R_D = base - V, R_I = V - base — and smash it on. Parallel
     // assignment: all binding values evaluate under the incoming delta.
-    std::vector<std::pair<std::string, RelationView>> values;
+    std::vector<std::pair<std::string, Relation>> values;
     values.reserve(node->bindings.size());
     for (const CollapsedBinding& b : node->bindings) {
-      HQL_ASSIGN_OR_RETURN(RelationView v,
+      HQL_ASSIGN_OR_RETURN(Relation v,
                            F3(b.value, db, env, config, columnar));
       values.emplace_back(b.rel_name, std::move(v));
     }
     DeltaValue precise;
     for (auto& [name, value] : values) {
-      // The current hypothetical content of `name` as an overlay view —
-      // the base is only probed, never copied.
-      HQL_ASSIGN_OR_RETURN(RelationView stored, db.GetView(name));
-      const DeltaPair* p = env.Get(name);
-      RelationView cur = p == nullptr
-                             ? stored
-                             : stored.ApplyDelta(p->ins.tuples(),
-                                                 p->del.tuples());
-      precise.Bind(name, DeltaPair(ViewDifference(cur, value),
-                                   ViewDifference(value, cur)));
+      // The current hypothetical content of `name` as an overlay — the
+      // base is only probed, never copied.
+      HQL_ASSIGN_OR_RETURN(Relation cur, db.Get(name));
+      if (const DeltaPair* p = env.Get(name)) {
+        cur = cur.ApplyDelta(p->ins.tuples(), p->del.tuples());
+      }
+      precise.Bind(name, DeltaPair(cur.DifferenceWith(value),
+                                   value.DifferenceWith(cur)));
     }
     return F3(node->input, db, env.SmashWith(precise), config, columnar);
   }
@@ -59,9 +57,8 @@ Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
   DeltaValue acc;
   for (const CollapsedAtom& atom : node->atoms) {
     DeltaValue current = env.SmashWith(acc);
-    HQL_ASSIGN_OR_RETURN(RelationView value_view,
+    HQL_ASSIGN_OR_RETURN(Relation value,
                          F3(atom.arg, db, current, config, columnar));
-    Relation value = value_view.Materialize();
     size_t arity = value.arity();
     DeltaValue atom_delta;
     if (atom.is_insert) {
@@ -107,11 +104,11 @@ Result<Relation> RunFilter3(const QueryPtr& query, const Database& db,
   }
   const DeltaValue empty;
   HQL_ASSIGN_OR_RETURN(
-      RelationView out,
+      Relation out,
       F3(tree, db, options.env != nullptr ? *options.env : empty,
          options.indexes, options.columnar));
   HQL_RETURN_IF_ERROR(GovernorCheck());
-  return out.Materialize();
+  return out;
 }
 
 }  // namespace hql

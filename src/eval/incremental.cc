@@ -27,7 +27,7 @@ const char* IncrementalModeName(IncrementalMode mode) {
 }
 
 std::shared_ptr<const IncrementalEntry> IncrementalRecorder::TakeEntry(
-    RelationView result, uint64_t state_fingerprint) {
+    Relation result, uint64_t state_fingerprint) {
   auto entry = std::make_shared<IncrementalEntry>(std::move(entry_));
   entry->result = std::move(result);
   entry->state_fingerprint = state_fingerprint;
@@ -88,8 +88,8 @@ Status TickGovernor(uint64_t n = 1) {
 /// One node's transition: cached output, patched output, and the canonical
 /// edit between them (dels subset of old content, adds disjoint from it).
 struct NodeDelta {
-  RelationView old_view{0};
-  RelationView new_view{0};
+  Relation old_view{0};
+  Relation new_view{0};
   std::vector<Tuple> adds;
   std::vector<Tuple> dels;
 };
@@ -108,7 +108,7 @@ class DeltaPropagator {
   Result<NodeDelta> Propagate(const QueryPtr& node);
 
   uint64_t edits_propagated() const { return edits_propagated_; }
-  std::unordered_map<uint64_t, RelationView> TakeNodeValues() {
+  std::unordered_map<uint64_t, Relation> TakeNodeValues() {
     return std::move(new_node_values_);
   }
 
@@ -123,14 +123,14 @@ class DeltaPropagator {
   /// index, one hash-keyed scan when an equality conjunct exists, nested
   /// loop otherwise. Returns combined tuples passing the full predicate.
   Result<std::vector<Tuple>> JoinEditAgainst(const std::vector<Tuple>& edit,
-                                             const RelationView& other,
+                                             const Relation& other,
                                              const ScalarExprPtr& pred,
                                              bool edit_on_left,
                                              size_t lhs_arity);
 
   /// The node's output recorded by the previous execution; kUnimplemented
   /// when the recording does not cover it.
-  Result<RelationView> OldOf(const QueryPtr& node);
+  Result<Relation> OldOf(const QueryPtr& node);
 
   /// Accounts a finished node: the edit counts as propagated work and its
   /// tuples are charged to the governor like produced tuples.
@@ -146,7 +146,7 @@ class DeltaPropagator {
 
   const IncrementalAttempt& attempt_;
   std::unordered_map<uint64_t, NodeDelta> done_;
-  std::unordered_map<uint64_t, RelationView> new_node_values_;
+  std::unordered_map<uint64_t, Relation> new_node_values_;
   uint64_t edits_propagated_ = 0;
 };
 
@@ -189,15 +189,15 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
 
     case QueryKind::kEmpty: {
       NodeDelta d;
-      d.old_view = RelationView(node->empty_arity());
+      d.old_view = Relation(node->empty_arity());
       d.new_view = d.old_view;
       return d;
     }
 
     case QueryKind::kSingleton: {
       NodeDelta d;
-      d.old_view = RelationView(Relation::FromSortedUnique(
-          node->tuple().size(), {node->tuple()}));
+      d.old_view = Relation::FromSortedUnique(node->tuple().size(),
+                                              {node->tuple()});
       d.new_view = d.old_view;
       return d;
     }
@@ -218,7 +218,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
         return PropagateJoin(node, child->left(), child->right(), combined);
       }
       HQL_ASSIGN_OR_RETURN(NodeDelta c, Propagate(child));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       const ScalarExpr& pred = *node->predicate();
       NodeDelta d;
       d.old_view = old_out;
@@ -236,7 +236,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
 
     case QueryKind::kProject: {
       HQL_ASSIGN_OR_RETURN(NodeDelta c, Propagate(node->left()));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       const std::vector<size_t>& cols = node->columns();
       NodeDelta d;
       d.old_view = old_out;
@@ -261,15 +261,19 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
           // One scan of the new child content strikes out every candidate
           // that still has support; survivors are true deletions.
           std::vector<char> supported(cand.size(), 0);
-          for (const Tuple& t : c.new_view) {
-            HQL_RETURN_IF_ERROR(TickGovernor());
+          Status ticked = Status::OK();
+          c.new_view.Scan([&](const Tuple& t) {
+            ticked = TickGovernor();
+            if (!ticked.ok()) return false;
             Tuple p = ProjectTuple(t, cols);
             auto it = std::lower_bound(cand.begin(), cand.end(), p,
                                        TupleLess{});
             if (it != cand.end() && *it == p) {
               supported[static_cast<size_t>(it - cand.begin())] = 1;
             }
-          }
+            return true;
+          });
+          HQL_RETURN_IF_ERROR(ticked);
           for (size_t i = 0; i < cand.size(); ++i) {
             if (!supported[i]) d.dels.push_back(std::move(cand[i]));
           }
@@ -282,7 +286,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
     case QueryKind::kUnion: {
       HQL_ASSIGN_OR_RETURN(NodeDelta l, Propagate(node->left()));
       HQL_ASSIGN_OR_RETURN(NodeDelta r, Propagate(node->right()));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       NodeDelta d;
       d.old_view = old_out;
       for (const std::vector<Tuple>* adds : {&l.adds, &r.adds}) {
@@ -308,7 +312,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
     case QueryKind::kIntersect: {
       HQL_ASSIGN_OR_RETURN(NodeDelta l, Propagate(node->left()));
       HQL_ASSIGN_OR_RETURN(NodeDelta r, Propagate(node->right()));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       NodeDelta d;
       d.old_view = old_out;
       for (const Tuple& t : l.adds) {
@@ -334,7 +338,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
     case QueryKind::kDifference: {
       HQL_ASSIGN_OR_RETURN(NodeDelta l, Propagate(node->left()));
       HQL_ASSIGN_OR_RETURN(NodeDelta r, Propagate(node->right()));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       NodeDelta d;
       d.old_view = old_out;
       for (const Tuple& t : l.adds) {
@@ -379,7 +383,7 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
             "maintainable (a deleted extremum needs a rescan)");
       }
       HQL_ASSIGN_OR_RETURN(NodeDelta c, Propagate(node->left()));
-      HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+      HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
       const std::vector<size_t>& cols = node->columns();
       size_t agg_column = node->agg_column();
       NodeDelta d;
@@ -407,12 +411,14 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
       // same order a full re-evaluation would, so double sums come out
       // bit-identical to the recompute alternative.
       std::vector<Acc> accs(affected.size());
-      for (const Tuple& t : c.new_view) {
-        HQL_RETURN_IF_ERROR(TickGovernor());
+      Status ticked = Status::OK();
+      c.new_view.Scan([&](const Tuple& t) {
+        ticked = TickGovernor();
+        if (!ticked.ok()) return false;
         Tuple key = ProjectTuple(t, cols);
         auto it = std::lower_bound(affected.begin(), affected.end(), key,
                                    TupleLess{});
-        if (it == affected.end() || !(*it == key)) continue;
+        if (it == affected.end() || !(*it == key)) return true;
         Acc& acc = accs[static_cast<size_t>(it - affected.begin())];
         ++acc.count;
         const Value& v = t[agg_column];
@@ -425,22 +431,27 @@ Result<NodeDelta> DeltaPropagator::Compute(const QueryPtr& node) {
           acc.any_double = true;
           acc.any_number = true;
         }
-      }
+        return true;
+      });
+      HQL_RETURN_IF_ERROR(ticked);
       // The group key is the output tuple's prefix, so one scan of the
       // cached output recovers the affected groups' old rows to diff
       // against the re-accumulated ones.
       std::vector<Tuple> old_rows(affected.size());
       std::vector<char> had_old(affected.size(), 0);
-      for (const Tuple& t : old_out) {
-        HQL_RETURN_IF_ERROR(TickGovernor());
+      old_out.Scan([&](const Tuple& t) {
+        ticked = TickGovernor();
+        if (!ticked.ok()) return false;
         Tuple key(t.begin(), t.begin() + static_cast<ptrdiff_t>(cols.size()));
         auto it = std::lower_bound(affected.begin(), affected.end(), key,
                                    TupleLess{});
-        if (it == affected.end() || !(*it == key)) continue;
+        if (it == affected.end() || !(*it == key)) return true;
         size_t i = static_cast<size_t>(it - affected.begin());
         old_rows[i] = t;
         had_old[i] = 1;
-      }
+        return true;
+      });
+      HQL_RETURN_IF_ERROR(ticked);
       for (size_t i = 0; i < affected.size(); ++i) {
         std::optional<Tuple> fresh;
         if (accs[i].count > 0) {
@@ -483,7 +494,7 @@ Result<NodeDelta> DeltaPropagator::PropagateJoin(const QueryPtr& node,
                                                  const ScalarExprPtr& pred) {
   HQL_ASSIGN_OR_RETURN(NodeDelta l, Propagate(lhs));
   HQL_ASSIGN_OR_RETURN(NodeDelta r, Propagate(rhs));
-  HQL_ASSIGN_OR_RETURN(RelationView old_out, OldOf(node));
+  HQL_ASSIGN_OR_RETURN(Relation old_out, OldOf(node));
   size_t lhs_arity = l.old_view.arity();
   NodeDelta d;
   d.old_view = old_out;
@@ -517,7 +528,7 @@ Result<NodeDelta> DeltaPropagator::PropagateJoin(const QueryPtr& node,
 }
 
 Result<std::vector<Tuple>> DeltaPropagator::JoinEditAgainst(
-    const std::vector<Tuple>& edit, const RelationView& other,
+    const std::vector<Tuple>& edit, const Relation& other,
     const ScalarExprPtr& pred, bool edit_on_left, size_t lhs_arity) {
   std::vector<Tuple> out;
   if (edit.empty() || other.empty()) return out;
@@ -559,12 +570,12 @@ Result<std::vector<Tuple>> DeltaPropagator::JoinEditAgainst(
       return key;
     };
 
-    // Index-probe path: a flat other side whose base already carries an
-    // index on exactly the equated columns answers each edit tuple in
-    // ~O(matches) — the RelationIndex probe the point lookups share.
+    // Index-probe path: a flat other side that already carries an index on
+    // exactly the equated columns answers each edit tuple in ~O(matches) —
+    // the RelationIndex probe the point lookups share.
     if (other.is_flat()) {
-      if (RelationIndexPtr index = other.base()->ExistingIndex(other_cols)) {
-        const std::vector<Tuple>& base_tuples = other.base()->tuples();
+      if (RelationIndexPtr index = other.ExistingIndex(other_cols)) {
+        const std::vector<Tuple>& base_tuples = other.tuples();
         for (const Tuple& e : edit) {
           RelationIndex::PosSpan span = index->Probe(edit_key(e));
           AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
@@ -581,29 +592,37 @@ Result<std::vector<Tuple>> DeltaPropagator::JoinEditAgainst(
     // Hash path: key the (small) edit, scan the other side once.
     std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> buckets;
     for (const Tuple& e : edit) buckets[edit_key(e)].push_back(&e);
-    for (const Tuple& o : other) {
-      HQL_RETURN_IF_ERROR(TickGovernor());
+    Status ticked = Status::OK();
+    other.Scan([&](const Tuple& o) {
+      ticked = TickGovernor();
+      if (!ticked.ok()) return false;
       Tuple key;
       key.reserve(other_cols.size());
       for (size_t c : other_cols) key.push_back(o[c]);
       auto it = buckets.find(key);
-      if (it == buckets.end()) continue;
+      if (it == buckets.end()) return true;
       for (const Tuple* e : it->second) emit(*e, o);
-    }
+      return true;
+    });
+    HQL_RETURN_IF_ERROR(ticked);
     return out;
   }
 
   // No equality conjunct: nested loop, still bounded by |edit| x |other|.
+  Status ticked = Status::OK();
   for (const Tuple& e : edit) {
-    for (const Tuple& o : other) {
-      HQL_RETURN_IF_ERROR(TickGovernor());
+    other.Scan([&](const Tuple& o) {
+      ticked = TickGovernor();
+      if (!ticked.ok()) return false;
       emit(e, o);
-    }
+      return true;
+    });
+    HQL_RETURN_IF_ERROR(ticked);
   }
   return out;
 }
 
-Result<RelationView> DeltaPropagator::OldOf(const QueryPtr& node) {
+Result<Relation> DeltaPropagator::OldOf(const QueryPtr& node) {
   auto it = attempt_.entry->node_values.find(node->Fingerprint());
   if (it == attempt_.entry->node_values.end()) {
     return Status::Unimplemented(
@@ -622,19 +641,19 @@ Result<IncrementalAttempt> ComputeIncrementalEdits(const QueryPtr& query,
   std::set<std::string> names;
   bool pure = CollectLeafNames(query, &names);
   for (const std::string& name : names) {
-    HQL_ASSIGN_OR_RETURN(RelationView view, db.GetView(name));
-    attempt.inputs.insert_or_assign(name, std::move(view));
+    HQL_ASSIGN_OR_RETURN(Relation input, db.Get(name));
+    attempt.inputs.insert_or_assign(name, std::move(input));
   }
   attempt.entry = cache->Lookup(query->Fingerprint());
   if (attempt.entry == nullptr || !pure) return attempt;
   bool patchable = true;
-  for (const auto& [name, view] : attempt.inputs) {
+  for (const auto& [name, input] : attempt.inputs) {
     auto it = attempt.entry->inputs.find(name);
     if (it == attempt.entry->inputs.end()) {
       patchable = false;
       break;
     }
-    std::optional<RelationEdit> edit = OverlayEditBetween(it->second, view);
+    std::optional<RelationEdit> edit = OverlayEditBetween(it->second, input);
     if (!edit.has_value()) {
       // A consolidation (or a relation swap) replaced the shared base in
       // between: no O(|edit|) difference exists.
@@ -643,17 +662,17 @@ Result<IncrementalAttempt> ComputeIncrementalEdits(const QueryPtr& query,
     }
     if (edit->empty()) continue;
     attempt.edit_tuples += edit->size();
-    attempt.changed_relation_tuples += view.size();
+    attempt.changed_relation_tuples += input.size();
     attempt.edits.insert_or_assign(name, std::move(*edit));
   }
   attempt.patchable = patchable;
   return attempt;
 }
 
-Result<RelationView> ApplyIncrementalPatch(const QueryPtr& query,
-                                           const IncrementalAttempt& attempt,
-                                           uint64_t new_state_fingerprint,
-                                           IncrementalCache* cache) {
+Result<Relation> ApplyIncrementalPatch(const QueryPtr& query,
+                                       const IncrementalAttempt& attempt,
+                                       uint64_t new_state_fingerprint,
+                                       IncrementalCache* cache) {
   if (!attempt.patchable || attempt.entry == nullptr) {
     return Status::Internal(
         "ApplyIncrementalPatch requires a patchable attempt");

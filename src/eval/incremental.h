@@ -10,7 +10,7 @@
 // further: when a query re-executes against a state whose relations differ
 // from a memoized execution only by a small *overlay edit* — same shared
 // base relation, changed adds/dels — the delta-of-delta
-// (OverlayEditBetween, storage/view.h) is propagated through per-operator
+// (OverlayEditBetween, storage/relation.h) is propagated through per-operator
 // delta rules to patch the cached result in time proportional to the edit,
 // not the data:
 //
@@ -33,8 +33,8 @@
 //   gamma      not incrementalizable: fall back to full evaluation
 //
 // Each node's new output is old_output.ApplyDelta(adds', dels') — an O(|
-// edit|) overlay over the cached value, with the view layer's consolidation
-// heuristic keeping patched chains shallow. Results are bit-identical to
+// edit|) overlay composed onto the cached value's flat base, so a patched
+// result is never more than one overlay deep. Results are bit-identical to
 // full re-evaluation; anything the rules cannot handle (aggregates, a
 // consolidation that replaced the shared base, a node the recording did not
 // cover) degrades to full evaluation, never to a wrong answer.
@@ -48,7 +48,7 @@
 #include "common/result.h"
 #include "eval/memo.h"
 #include "storage/database.h"
-#include "storage/view.h"
+#include "storage/relation.h"
 
 namespace hql {
 
@@ -68,8 +68,8 @@ struct IncrementalConfig {
   /// kAuto mode (there is nowhere to remember executions between calls).
   IncrementalCache* cache = nullptr;
   /// Edits larger than this fraction of the changed relations' content fall
-  /// back to full evaluation (the incremental break-even mirror of the view
-  /// layer's consolidation fraction).
+  /// back to full evaluation (the incremental break-even mirror of
+  /// Relation::kConsolidateFraction).
   double max_edit_fraction = 0.10;
 
   bool enabled() const {
@@ -77,23 +77,23 @@ struct IncrementalConfig {
   }
 };
 
-/// Collects one execution's per-node outputs and leaf input views while the
+/// Collects one execution's per-node outputs and leaf inputs while the
 /// RA evaluator runs (hooked via EvalMemo::recorder), producing the
 /// IncrementalEntry a later execution patches against. Not thread-safe: one
 /// recorder observes one single-threaded evaluation.
 class IncrementalRecorder {
  public:
-  void RecordNode(uint64_t fingerprint, const RelationView& value) {
+  void RecordNode(uint64_t fingerprint, const Relation& value) {
     entry_.node_values.insert_or_assign(fingerprint, value);
   }
-  void RecordInput(const std::string& name, const RelationView& value) {
+  void RecordInput(const std::string& name, const Relation& value) {
     entry_.inputs.insert_or_assign(name, value);
   }
 
   /// Finalizes the entry with the plan root's output and the state
   /// fingerprint the execution ran against.
   std::shared_ptr<const IncrementalEntry> TakeEntry(
-      RelationView result, uint64_t state_fingerprint);
+      Relation result, uint64_t state_fingerprint);
 
  private:
   IncrementalEntry entry_;
@@ -105,17 +105,17 @@ class IncrementalRecorder {
 struct IncrementalAttempt {
   /// The cached execution (null = cold miss, nothing to patch).
   std::shared_ptr<const IncrementalEntry> entry;
-  /// Per leaf relation: the edit taking the recorded view to the current
+  /// Per leaf relation: the edit taking the recorded input to the current
   /// one. Only names whose content changed appear.
   std::map<std::string, RelationEdit> edits;
-  /// Current views of *all* leaf relations of the query.
-  std::map<std::string, RelationView> inputs;
+  /// Current values of *all* leaf relations of the query.
+  std::map<std::string, Relation> inputs;
   /// Total changed tuples across all edits.
   size_t edit_tuples = 0;
   /// Total current cardinality of the relations that changed.
   size_t changed_relation_tuples = 0;
-  /// True when every leaf qualified: recorded view present and sharing the
-  /// current view's base (OverlayEditBetween succeeded). False means a
+  /// True when every leaf qualified: recorded input present and sharing
+  /// the current input's base (OverlayEditBetween succeeded). False means a
   /// consolidation or swap replaced a base — full evaluation is required.
   bool patchable = false;
 };
@@ -129,17 +129,17 @@ Result<IncrementalAttempt> ComputeIncrementalEdits(const QueryPtr& query,
 
 /// Patches the cached result by propagating `attempt`'s edits through the
 /// operator delta rules, refreshes the cache entry for the new state, and
-/// returns the new root view. Charges the ambient governor per patched
+/// returns the new root. Charges the ambient governor per patched
 /// tuple and the ambient ExecContext's incremental counters; records an
 /// "incremental-patch" TraceSpan. Requires attempt.patchable.
 ///
 /// A kUnimplemented status means the plan contains a non-incrementalizable
 /// operator or an unrecorded node: the caller falls back to full
 /// evaluation. Any other error (governor trip, cancellation) is final.
-Result<RelationView> ApplyIncrementalPatch(const QueryPtr& query,
-                                           const IncrementalAttempt& attempt,
-                                           uint64_t new_state_fingerprint,
-                                           IncrementalCache* cache);
+Result<Relation> ApplyIncrementalPatch(const QueryPtr& query,
+                                       const IncrementalAttempt& attempt,
+                                       uint64_t new_state_fingerprint,
+                                       IncrementalCache* cache);
 
 }  // namespace hql
 

@@ -80,24 +80,24 @@ namespace {
 // Resolves the index to probe under the configured policy. Never builds in
 // kManual mode; in kAdvisor mode the advisor decides when a column set has
 // earned its build.
-RelationIndexPtr LookupIndex(const RelationPtr& base,
+RelationIndexPtr LookupIndex(const Relation& base,
                              const std::vector<size_t>& columns,
                              const IndexConfig& config) {
   switch (config.mode) {
     case IndexMode::kOff:
       return nullptr;
     case IndexMode::kManual:
-      return base->ExistingIndex(columns);
+      return base.ExistingIndex(columns);
     case IndexMode::kAdvisor:
-      if (config.advisor == nullptr) return base->ExistingIndex(columns);
+      if (config.advisor == nullptr) return base.ExistingIndex(columns);
       // Under a governor, an advisor-driven build over a base past the
       // index-build budget (or on an already-tripped execution) degrades to
       // whatever index already exists — a scan otherwise — instead of
       // paying the build.
       if (ExecGovernor* gov = CurrentGovernor();
-          gov != nullptr && !gov->AllowIndexBuild(base->size())) {
+          gov != nullptr && !gov->AllowIndexBuild(base.size())) {
         AmbientExecContext().Add(ExecCounter::kGovernorIndexFallbacks);
-        return base->ExistingIndex(columns);
+        return base.ExistingIndex(columns);
       }
       return config.advisor->Advise(base, columns);
   }
@@ -113,12 +113,12 @@ bool ResidualOk(const std::vector<ScalarExprPtr>& residual, const Tuple& t) {
 
 }  // namespace
 
-std::optional<Relation> TryIndexedFilter(const RelationView& input,
+std::optional<Relation> TryIndexedFilter(const Relation& input,
                                          const ScalarExprPtr& pred,
                                          const IndexConfig& config) {
   if (!config.enabled() || pred == nullptr) return std::nullopt;
-  const RelationPtr& base = input.base();
-  if (base->size() < config.min_index_rows) return std::nullopt;
+  const Relation& base = input.base();
+  if (base.size() < config.min_index_rows) return std::nullopt;
   std::optional<SargablePredicate> sarg = ExtractSargable(pred);
   if (!sarg.has_value()) return std::nullopt;
   // Out-of-arity columns evaluate to null under the scan semantics (and
@@ -131,9 +131,9 @@ std::optional<Relation> TryIndexedFilter(const RelationView& input,
   TraceSpan trace("index-select", input.size());
   RelationIndex::PosSpan span = index->Probe(sarg->key);
   AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
-                           base->size() - span.size());
+                           base.size() - span.size());
 
-  const std::vector<Tuple>& tuples = base->tuples();
+  const std::vector<Tuple>& tuples = base.tuples();
   const std::vector<Tuple>& dels = input.dels();
   std::vector<Tuple> matched;
   matched.reserve(span.size());
@@ -160,7 +160,7 @@ std::optional<Relation> TryIndexedFilter(const RelationView& input,
   return Relation::FromSortedUnique(input.arity(), std::move(out));
 }
 
-Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
+Relation IndexedFilter(const Relation& input, const ScalarExprPtr& pred,
                        const IndexConfig& config) {
   HQL_CHECK(pred != nullptr);
   std::optional<Relation> fast = TryIndexedFilter(input, pred, config);
@@ -168,8 +168,8 @@ Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
   return FilterRelation(input, *pred);
 }
 
-std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
-                                       const RelationView& rhs,
+std::optional<Relation> TryIndexedJoin(const Relation& lhs,
+                                       const Relation& rhs,
                                        const ScalarExprPtr& pred,
                                        const IndexConfig& config) {
   if (!config.enabled() || pred == nullptr) return std::nullopt;
@@ -181,10 +181,10 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
   // Index the side with the larger base; stream the other. The index pays
   // off when it already exists (shared across a family of alternatives),
   // which LookupIndex's policy decides.
-  const bool index_rhs = rhs.base()->size() >= lhs.base()->size();
-  const RelationView& big = index_rhs ? rhs : lhs;
-  const RelationView& small = index_rhs ? lhs : rhs;
-  if (big.base()->size() < config.min_index_rows) return std::nullopt;
+  const bool index_rhs = rhs.base().size() >= lhs.base().size();
+  const Relation& big = index_rhs ? rhs : lhs;
+  const Relation& small = index_rhs ? lhs : rhs;
+  if (big.base().size() < config.min_index_rows) return std::nullopt;
 
   // (index column on big, probe column on small), ascending by index
   // column — the index key shape. A column equated twice cannot form an
@@ -218,7 +218,7 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
     adds_table[index->KeyOf(a)].push_back(&a);
   }
 
-  const std::vector<Tuple>& big_tuples = big.base()->tuples();
+  const std::vector<Tuple>& big_tuples = big.base().tuples();
   const std::vector<Tuple>& big_dels = big.dels();
   std::vector<Tuple> out;
   uint64_t touched = 0;
@@ -227,7 +227,7 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
                                : ConcatTuples(big_tuple, probe_tuple);
     if (ResidualOk(residual, combined)) out.push_back(std::move(combined));
   };
-  for (const Tuple& p : small) {
+  small.Scan([&](const Tuple& p) {
     Tuple key;
     key.reserve(pairs.size());
     for (const auto& [big_col, small_col] : pairs) key.push_back(p[small_col]);
@@ -245,15 +245,15 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
     if (it != adds_table.end()) {
       for (const Tuple* a : it->second) emit(p, *a);
     }
-  }
-  uint64_t big_size = big.base()->size();
+  });
+  uint64_t big_size = big.base().size();
   AmbientExecContext().Add(ExecCounter::kIndexTuplesSkipped,
                            big_size > touched ? big_size - touched : 0);
   trace.set_rows_out(out.size());
   return Relation::FromTuples(lhs.arity() + rhs.arity(), std::move(out));
 }
 
-Relation IndexedJoin(const RelationView& lhs, const RelationView& rhs,
+Relation IndexedJoin(const Relation& lhs, const Relation& rhs,
                      const ScalarExprPtr& pred, const IndexConfig& config) {
   std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, config);
   if (fast.has_value()) return *std::move(fast);

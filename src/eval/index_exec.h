@@ -2,11 +2,11 @@
 #define HQL_EVAL_INDEX_EXEC_H_
 
 // Index-backed physical operators: the sargable-predicate extractor plus
-// selection and join kernels that answer equality work by probing a base
-// relation's hash index instead of scanning. Every kernel takes the
-// operand as a RelationView and patches the base index's answer with the
-// overlay — matches minus `dels` plus a linear filter of `adds` — so a
-// hypothetical state probes the index its base state built.
+// selection and join kernels that answer equality work by probing the hash
+// index of an operand's flat base instead of scanning. An overlay operand
+// patches the base index's answer with its delta — matches minus `dels`
+// plus a linear filter of `adds` — so a hypothetical state probes the index
+// its base state built.
 //
 // All kernels are exact: they return nullopt (callers fall back to the
 // scan kernels in ra_eval.h / delta_ops.h) whenever any part of the
@@ -21,7 +21,6 @@
 #include "ast/scalar_expr.h"
 #include "storage/index.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -50,31 +49,31 @@ void SplitJoinPredicate(const ScalarExprPtr& pred, size_t split,
                         std::vector<std::pair<size_t, size_t>>* equi,
                         std::vector<ScalarExprPtr>* residual);
 
-/// sigma_pred(input) answered by probing an index on input's base: base
+/// sigma_pred(input) answered by probing an index on input's flat base: base
 /// matches (minus dels, filtered by the residual) merged with a full-
 /// predicate filter of adds. Returns nullopt when the config, base size,
 /// predicate shape, or index policy rules the probe out.
-std::optional<Relation> TryIndexedFilter(const RelationView& input,
+std::optional<Relation> TryIndexedFilter(const Relation& input,
                                          const ScalarExprPtr& pred,
                                          const IndexConfig& config);
 
 /// TryIndexedFilter with scan fallback; always equals
 /// FilterRelation(input, *pred). `pred` must be non-null.
-Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
+Relation IndexedFilter(const Relation& input, const ScalarExprPtr& pred,
                        const IndexConfig& config);
 
 /// lhs join_pred rhs as an index-nested-loop join: probes an index on the
 /// larger side's base with each tuple of the smaller side (adds of the
 /// indexed side go through a small side hash table). Returns nullopt when
 /// no equality conjunct crosses the split or the index policy declines.
-std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
-                                       const RelationView& rhs,
+std::optional<Relation> TryIndexedJoin(const Relation& lhs,
+                                       const Relation& rhs,
                                        const ScalarExprPtr& pred,
                                        const IndexConfig& config);
 
 /// TryIndexedJoin with hash-join fallback; always equals
 /// JoinRelations(lhs, rhs, pred).
-Relation IndexedJoin(const RelationView& lhs, const RelationView& rhs,
+Relation IndexedJoin(const Relation& lhs, const Relation& rhs,
                      const ScalarExprPtr& pred, const IndexConfig& config);
 
 }  // namespace hql

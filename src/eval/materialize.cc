@@ -44,16 +44,17 @@ Result<Database> EvalAtomicStateMemo(const HypoExprPtr& state,
       break;
     }
     // A hit re-binds the cached relation by reference — no tuple copies.
-    HQL_RETURN_IF_ERROR(out.SetShared(name, std::move(hit)));
+    HQL_RETURN_IF_ERROR(out.Set(name, hit->SharedCopy()));
   }
   if (all_cached) return out;
 
   HQL_ASSIGN_OR_RETURN(Database moved, EvalState(state, db));
   for (const std::string& name : dom) {
-    // Shared() consolidates an overlay once into the view's flat cache (the
-    // memo stores flat relations); the cache entry and `moved` share it.
-    HQL_ASSIGN_OR_RETURN(RelationView value, moved.GetView(name));
-    memo->Insert(StateEntryKey(state_hash, db_fp, name), value.Shared());
+    // The cache entry and `moved` share the relation's payload, an overlay
+    // left unmerged.
+    HQL_ASSIGN_OR_RETURN(Relation value, moved.Get(name));
+    memo->Insert(StateEntryKey(state_hash, db_fp, name),
+                 std::make_shared<const Relation>(std::move(value)));
   }
   return moved;
 }
@@ -79,10 +80,9 @@ Result<XsubValue> MaterializeXsub(const HypoExprPtr& state,
   HQL_ASSIGN_OR_RETURN(Database moved, EvalStateMemo(state, db, memo));
   XsubValue out;
   for (const std::string& name : DomNames(state)) {
-    // Flat results bind by refcount bump; overlays consolidate once into
-    // the view's shared flat cache.
-    HQL_ASSIGN_OR_RETURN(RelationView value, moved.GetView(name));
-    out.Bind(name, value.Shared());
+    // Binds by refcount bump; an overlay stays unmerged.
+    HQL_ASSIGN_OR_RETURN(Relation value, moved.Get(name));
+    out.Bind(name, std::move(value));
   }
   return out;
 }
@@ -95,9 +95,10 @@ Result<DeltaValue> MaterializeDelta(const HypoExprPtr& state,
   HQL_ASSIGN_OR_RETURN(Database moved, EvalStateMemo(state, db, memo));
   DeltaValue out;
   for (const std::string& name : DomNames(state)) {
-    HQL_ASSIGN_OR_RETURN(RelationView after, moved.GetView(name));
-    HQL_ASSIGN_OR_RETURN(RelationView before, db.GetView(name));
-    if (before.is_flat() && after.base() == before.base()) {
+    HQL_ASSIGN_OR_RETURN(Relation after, moved.Get(name));
+    HQL_ASSIGN_OR_RETURN(Relation before, db.Get(name));
+    if (before.is_flat() &&
+        after.base().payload_id() == before.payload_id()) {
       // The written relation is an overlay on the unchanged base, so its
       // canonical add/del vectors *are* the paper's precise deltas
       // R_D = DB(R) − V and R_I = V − DB(R) — extracted in O(|edge delta|)
@@ -111,8 +112,8 @@ Result<DeltaValue> MaterializeDelta(const HypoExprPtr& state,
     } else {
       // Representations diverged (consolidation, memo hit, substitution):
       // fall back to a streaming two-sided difference.
-      out.Bind(name, DeltaPair(ViewDifference(before, after),
-                               ViewDifference(after, before)));
+      out.Bind(name, DeltaPair(before.DifferenceWith(after),
+                               after.DifferenceWith(before)));
     }
   }
   return out;

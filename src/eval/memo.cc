@@ -13,11 +13,11 @@ uint64_t MemoKey(uint64_t query_fingerprint, uint64_t state_fingerprint) {
                      state_fingerprint);
 }
 
-// Relations are fingerprinted through RelationView::Hash, the content hash:
-// flat views hash as their base relation (O(1) once cached), overlays adjust
-// the base hash by their adds and dels in O(|delta|), so the full state never
-// has to be consolidated just to key the cache, and equal content keys alike
-// whatever its base/delta split.
+// Relations are fingerprinted through Relation::Hash, the content hash: a
+// flat relation's is computed once per payload, an overlay's adjusts its
+// base's hash by its adds and dels in O(|delta|) at construction, so the
+// full state never has to be merged just to key the cache, and equal content
+// keys alike whatever its base/delta split.
 
 uint64_t FingerprintState(const Database& db) {
   uint64_t h = 0xB7E151628AED2A6BULL;

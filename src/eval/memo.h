@@ -34,7 +34,6 @@
 #include "eval/xsub.h"
 #include "storage/database.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -134,19 +133,19 @@ class MemoCache {
 
 /// One memoized execution retained for incremental re-evaluation
 /// (eval/incremental.h): alongside every operator node's output, the
-/// input-relation identities (the leaf RelationViews, i.e. base pointer +
-/// canonical overlay) needed to qualify a later hit as *patchable* — same
-/// shared base, changed adds/dels. Entries are self-contained: the views
-/// keep their bases alive, so an entry stays usable after the LRU subplan
-/// cache has evicted the underlying relations.
+/// input relations (each a base payload plus a canonical overlay) needed to
+/// qualify a later hit as *patchable* — same shared base, changed
+/// adds/dels. Entries are self-contained: the relations keep their bases
+/// alive, so an entry stays usable after the LRU subplan cache has evicted
+/// the underlying relations.
 struct IncrementalEntry {
-  /// Leaf relation views as resolved at the recorded execution, by name.
-  std::map<std::string, RelationView> inputs;
-  /// Output view of every evaluated operator node, keyed by the node's
+  /// Leaf relations as resolved at the recorded execution, by name.
+  std::map<std::string, Relation> inputs;
+  /// Output of every evaluated operator node, keyed by the node's
   /// structural fingerprint (Query::Fingerprint).
-  std::unordered_map<uint64_t, RelationView> node_values;
-  /// Output view of the plan root.
-  RelationView result{0};
+  std::unordered_map<uint64_t, Relation> node_values;
+  /// Output of the plan root.
+  Relation result{0};
   /// State fingerprint the entry was recorded against (FingerprintState).
   uint64_t state_fingerprint = 0;
 };

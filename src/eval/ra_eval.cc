@@ -14,43 +14,36 @@
 
 namespace hql {
 
-namespace {
-
-// The operator bodies are templated over the input kind (Relation or
-// RelationView): both iterate tuples in sorted order and expose
-// arity()/size(), so one implementation serves the flat and the
-// merge-streaming form.
-//
 // Each kernel charges its *output* tuples against the ambient governor's
 // tuple budget and ticks *processed* rows toward the cooperative-check
 // cadence. On a trip the kernel breaks out and returns truncated data; the
 // Status-returning caller (EvalRaNode) observes the trip via GovernorCheck
 // and discards the partial result, so truncation never escapes.
 
-template <typename Rel>
-Relation FilterImpl(const Rel& input, const ScalarExpr& predicate) {
+Relation FilterRelation(const Relation& input, const ScalarExpr& predicate) {
   TraceSpan span("select", input.size());
   ExecGovernor* gov = CurrentGovernor();
   std::vector<Tuple> out;
-  for (const Tuple& t : input) {
-    if (gov != nullptr && !gov->Tick()) break;
+  input.Scan([&](const Tuple& t) {
+    if (gov != nullptr && !gov->Tick()) return false;
     if (predicate.EvaluatesTrue(t)) {
       out.push_back(t);
-      if (gov != nullptr && !gov->ChargeTuples(1)) break;
+      if (gov != nullptr && !gov->ChargeTuples(1)) return false;
     }
-  }
+    return true;
+  });
   span.set_rows_out(out.size());
   // Filtering preserves order and uniqueness.
   return Relation::FromSortedUnique(input.arity(), std::move(out));
 }
 
-template <typename Rel>
-Relation ProjectImpl(const Rel& input, const std::vector<size_t>& columns) {
+Relation ProjectRelation(const Relation& input,
+                         const std::vector<size_t>& columns) {
   TraceSpan span("project", input.size());
   ExecGovernor* gov = CurrentGovernor();
   std::vector<Tuple> out;
   out.reserve(input.size());
-  for (const Tuple& t : input) {
+  input.Scan([&](const Tuple& t) {
     Tuple p;
     p.reserve(columns.size());
     for (size_t c : columns) {
@@ -58,8 +51,8 @@ Relation ProjectImpl(const Rel& input, const std::vector<size_t>& columns) {
       p.push_back(t[c]);
     }
     out.push_back(std::move(p));
-    if (gov != nullptr && !gov->ChargeTuples(1)) break;
-  }
+    return gov == nullptr || gov->ChargeTuples(1);
+  });
   span.set_rows_out(out.size());
   return Relation::FromTuples(columns.size(), std::move(out));
 }
@@ -67,9 +60,8 @@ Relation ProjectImpl(const Rel& input, const std::vector<size_t>& columns) {
 // Equality-conjunct extraction lives in eval/index_exec.h
 // (SplitJoinPredicate), shared with the index-nested-loop join.
 
-template <typename Lhs, typename Rhs>
-Relation JoinImpl(const Lhs& lhs, const Rhs& rhs,
-                  const ScalarExprPtr& predicate) {
+Relation JoinRelations(const Relation& lhs, const Relation& rhs,
+                       const ScalarExprPtr& predicate) {
   TraceSpan span("join", lhs.size() + rhs.size());
   ExecGovernor* gov = CurrentGovernor();
   const size_t out_arity = lhs.arity() + rhs.arity();
@@ -92,9 +84,9 @@ Relation JoinImpl(const Lhs& lhs, const Rhs& rhs,
     // Hash join, building on the smaller input and probing with the larger
     // one; the build side's key columns come from `equi`'s lhs or rhs slot
     // depending on which side we picked. Output tuples are always
-    // (lhs, rhs) regardless of build side. Iteration references stay valid
-    // for the inputs' lifetime (view iterators hand out references into the
-    // base/overlay storage), so the table stores plain pointers.
+    // (lhs, rhs) regardless of build side. Scan hands out references into
+    // the inputs' storage, valid for their lifetime, so the table stores
+    // plain pointers.
     const bool build_rhs = rhs.size() <= lhs.size();
 
     auto key_of = [&equi](const Tuple& t, bool use_rhs_cols) {
@@ -105,26 +97,27 @@ Relation JoinImpl(const Lhs& lhs, const Rhs& rhs,
     };
 
     std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> table;
-    auto build_into = [&](const auto& build, bool keys_from_rhs) {
+    auto build_into = [&](const Relation& build, bool keys_from_rhs) {
       table.reserve(build.size());
-      for (const Tuple& b : build) {
+      build.Scan([&](const Tuple& b) {
         table[key_of(b, keys_from_rhs)].push_back(&b);
-      }
+      });
     };
-    auto probe_with = [&](const auto& probe, bool keys_from_rhs) {
-      for (const Tuple& p : probe) {
-        if (gov != nullptr && !gov->Tick()) return;
+    auto probe_with = [&](const Relation& probe, bool keys_from_rhs) {
+      probe.Scan([&](const Tuple& p) {
+        if (gov != nullptr && !gov->Tick()) return false;
         auto it = table.find(key_of(p, keys_from_rhs));
-        if (it == table.end()) continue;
+        if (it == table.end()) return true;
         for (const Tuple* b : it->second) {
           Tuple combined =
               keys_from_rhs ? ConcatTuples(*b, p) : ConcatTuples(p, *b);
           if (residual_ok(combined)) {
             out.push_back(std::move(combined));
-            if (gov != nullptr && !gov->ChargeTuples(1)) return;
+            if (gov != nullptr && !gov->ChargeTuples(1)) return false;
           }
         }
-      }
+        return true;
+      });
     };
     if (build_rhs) {
       build_into(rhs, /*keys_from_rhs=*/true);
@@ -135,33 +128,25 @@ Relation JoinImpl(const Lhs& lhs, const Rhs& rhs,
     }
   } else {
     // Nested loop with the predicate applied inline (clustered sigma-x).
-    bool stop = false;
-    for (const Tuple& l : lhs) {
-      if (stop) break;
-      for (const Tuple& r : rhs) {
-        if (gov != nullptr && !gov->Tick()) {
-          stop = true;
-          break;
-        }
+    lhs.Scan([&](const Tuple& l) {
+      return rhs.Scan([&](const Tuple& r) {
+        if (gov != nullptr && !gov->Tick()) return false;
         Tuple combined = ConcatTuples(l, r);
         if (residual_ok(combined)) {
           out.push_back(std::move(combined));
-          if (gov != nullptr && !gov->ChargeTuples(1)) {
-            stop = true;
-            break;
-          }
+          if (gov != nullptr && !gov->ChargeTuples(1)) return false;
         }
-      }
-    }
+        return true;
+      });
+    });
   }
   span.set_rows_out(out.size());
   return Relation::FromTuples(out_arity, std::move(out));
 }
 
-template <typename Rel>
-Relation AggregateImpl(const Rel& input,
-                       const std::vector<size_t>& group_columns, AggFunc func,
-                       size_t agg_column) {
+Relation AggregateRelation(const Relation& input,
+                           const std::vector<size_t>& group_columns,
+                           AggFunc func, size_t agg_column) {
   TraceSpan span("aggregate", input.size());
   struct Acc {
     int64_t count = 0;
@@ -175,8 +160,8 @@ Relation AggregateImpl(const Rel& input,
   ExecGovernor* gov = CurrentGovernor();
   std::unordered_map<Tuple, Acc, TupleHash> groups;
   groups.reserve(input.size());
-  for (const Tuple& t : input) {
-    if (gov != nullptr && !gov->Tick()) break;
+  input.Scan([&](const Tuple& t) {
+    if (gov != nullptr && !gov->Tick()) return false;
     Tuple key;
     key.reserve(group_columns.size());
     for (size_t c : group_columns) key.push_back(t[c]);
@@ -199,7 +184,8 @@ Relation AggregateImpl(const Rel& input,
       acc.any_double = true;
       acc.any_number = true;
     }
-  }
+    return true;
+  });
   std::vector<Tuple> out;
   out.reserve(groups.size());
   for (auto& [key, acc] : groups) {
@@ -233,64 +219,20 @@ Relation AggregateImpl(const Rel& input,
   return Relation::FromTuples(group_columns.size() + 1, std::move(out));
 }
 
-}  // namespace
-
-Relation FilterRelation(const Relation& input, const ScalarExpr& predicate) {
-  return FilterImpl(input, predicate);
-}
-
-Relation FilterRelation(const RelationView& input,
-                        const ScalarExpr& predicate) {
-  return FilterImpl(input, predicate);
-}
-
-Relation ProjectRelation(const Relation& input,
-                         const std::vector<size_t>& columns) {
-  return ProjectImpl(input, columns);
-}
-
-Relation ProjectRelation(const RelationView& input,
-                         const std::vector<size_t>& columns) {
-  return ProjectImpl(input, columns);
-}
-
-Relation JoinRelations(const Relation& lhs, const Relation& rhs,
-                       const ScalarExprPtr& predicate) {
-  return JoinImpl(lhs, rhs, predicate);
-}
-
-Relation JoinRelations(const RelationView& lhs, const RelationView& rhs,
-                       const ScalarExprPtr& predicate) {
-  return JoinImpl(lhs, rhs, predicate);
-}
-
-Relation AggregateRelation(const Relation& input,
-                           const std::vector<size_t>& group_columns,
-                           AggFunc func, size_t agg_column) {
-  return AggregateImpl(input, group_columns, func, agg_column);
-}
-
-Relation AggregateRelation(const RelationView& input,
-                           const std::vector<size_t>& group_columns,
-                           AggFunc func, size_t agg_column) {
-  return AggregateImpl(input, group_columns, func, agg_column);
-}
-
 namespace {
 
-// Subplan results flow through the recursion as copy-on-write views: a leaf
-// resolve is a cheap view copy, a memo hit wraps the cached shared relation
-// (refcount bump), and computed operator results ride in freshly wrapped
-// flat views — no tuple copies move between nodes.
-Result<RelationView> EvalRaNode(const QueryPtr& query,
-                                const RelResolver& resolver,
-                                const EvalMemo* memo);
+// Subplan results flow through the recursion as copy-on-write relations: a
+// leaf resolve and a memo hit are refcount bumps, and computed operator
+// results are fresh flat relations — no tuple copies move between nodes.
+Result<Relation> EvalRaNode(const QueryPtr& query,
+                            const RelResolver& resolver,
+                            const EvalMemo* memo);
 
 // The operator switch; recursion goes through EvalRaNode so every subplan
 // passes the memo check.
-Result<RelationView> EvalRaCompute(const QueryPtr& query,
-                                   const RelResolver& resolver,
-                                   const EvalMemo* memo) {
+Result<Relation> EvalRaCompute(const QueryPtr& query,
+                               const RelResolver& resolver,
+                               const EvalMemo* memo) {
   const IndexConfig indexes = memo != nullptr ? memo->indexes : IndexConfig();
   const ColumnarConfig columnar =
       memo != nullptr ? memo->columnar : ColumnarConfig();
@@ -298,77 +240,73 @@ Result<RelationView> EvalRaCompute(const QueryPtr& query,
     case QueryKind::kRel:
       return resolver.Resolve(query->rel_name());
     case QueryKind::kEmpty:
-      return RelationView(query->empty_arity());
+      return Relation(query->empty_arity());
     case QueryKind::kSingleton:
-      return RelationView(
-          Relation::FromTuples(query->tuple().size(), {query->tuple()}));
+      return Relation::FromTuples(query->tuple().size(), {query->tuple()});
     case QueryKind::kSelect: {
       // Cluster sigma over x / join into a theta join.
       const QueryPtr& child = query->left();
       if (child->kind() == QueryKind::kProduct ||
           child->kind() == QueryKind::kJoin) {
-        HQL_ASSIGN_OR_RETURN(RelationView l,
+        HQL_ASSIGN_OR_RETURN(Relation l,
                              EvalRaNode(child->left(), resolver, memo));
-        HQL_ASSIGN_OR_RETURN(RelationView r,
+        HQL_ASSIGN_OR_RETURN(Relation r,
                              EvalRaNode(child->right(), resolver, memo));
         ScalarExprPtr pred = query->predicate();
         if (child->kind() == QueryKind::kJoin) {
           pred = ScalarExpr::Binary(ScalarOp::kAnd, pred, child->predicate());
         }
-        return RelationView(VectorizedJoin(l, r, pred, indexes, columnar));
+        return VectorizedJoin(l, r, pred, indexes, columnar);
       }
-      HQL_ASSIGN_OR_RETURN(RelationView in,
+      HQL_ASSIGN_OR_RETURN(Relation in,
                            EvalRaNode(child, resolver, memo));
-      return RelationView(
-          VectorizedFilter(in, query->predicate(), indexes, columnar));
+      return VectorizedFilter(in, query->predicate(), indexes, columnar);
     }
     case QueryKind::kProject: {
-      HQL_ASSIGN_OR_RETURN(RelationView in,
+      HQL_ASSIGN_OR_RETURN(Relation in,
                            EvalRaNode(query->left(), resolver, memo));
-      return RelationView(ProjectRelation(in, query->columns()));
+      return ProjectRelation(in, query->columns());
     }
     case QueryKind::kAggregate: {
-      HQL_ASSIGN_OR_RETURN(RelationView in,
+      HQL_ASSIGN_OR_RETURN(Relation in,
                            EvalRaNode(query->left(), resolver, memo));
-      return RelationView(VectorizedAggregate(in, query->columns(),
-                                              query->agg_func(),
-                                              query->agg_column(), columnar));
+      return VectorizedAggregate(in, query->columns(), query->agg_func(),
+                                 query->agg_column(), columnar);
     }
     case QueryKind::kUnion: {
-      HQL_ASSIGN_OR_RETURN(RelationView l,
+      HQL_ASSIGN_OR_RETURN(Relation l,
                            EvalRaNode(query->left(), resolver, memo));
-      HQL_ASSIGN_OR_RETURN(RelationView r,
+      HQL_ASSIGN_OR_RETURN(Relation r,
                            EvalRaNode(query->right(), resolver, memo));
-      return RelationView(ViewUnion(l, r));
+      return l.UnionWith(r);
     }
     case QueryKind::kIntersect: {
-      HQL_ASSIGN_OR_RETURN(RelationView l,
+      HQL_ASSIGN_OR_RETURN(Relation l,
                            EvalRaNode(query->left(), resolver, memo));
-      HQL_ASSIGN_OR_RETURN(RelationView r,
+      HQL_ASSIGN_OR_RETURN(Relation r,
                            EvalRaNode(query->right(), resolver, memo));
-      return RelationView(ViewIntersect(l, r));
+      return l.IntersectWith(r);
     }
     case QueryKind::kProduct: {
-      HQL_ASSIGN_OR_RETURN(RelationView l,
+      HQL_ASSIGN_OR_RETURN(Relation l,
                            EvalRaNode(query->left(), resolver, memo));
-      HQL_ASSIGN_OR_RETURN(RelationView r,
+      HQL_ASSIGN_OR_RETURN(Relation r,
                            EvalRaNode(query->right(), resolver, memo));
-      return RelationView(ViewProduct(l, r));
+      return l.ProductWith(r);
     }
     case QueryKind::kJoin: {
-      HQL_ASSIGN_OR_RETURN(RelationView l,
+      HQL_ASSIGN_OR_RETURN(Relation l,
                            EvalRaNode(query->left(), resolver, memo));
-      HQL_ASSIGN_OR_RETURN(RelationView r,
+      HQL_ASSIGN_OR_RETURN(Relation r,
                            EvalRaNode(query->right(), resolver, memo));
-      return RelationView(
-          VectorizedJoin(l, r, query->predicate(), indexes, columnar));
+      return VectorizedJoin(l, r, query->predicate(), indexes, columnar);
     }
     case QueryKind::kDifference: {
-      HQL_ASSIGN_OR_RETURN(RelationView l,
+      HQL_ASSIGN_OR_RETURN(Relation l,
                            EvalRaNode(query->left(), resolver, memo));
-      HQL_ASSIGN_OR_RETURN(RelationView r,
+      HQL_ASSIGN_OR_RETURN(Relation r,
                            EvalRaNode(query->right(), resolver, memo));
-      return RelationView(ViewDifference(l, r));
+      return l.DifferenceWith(r);
     }
     case QueryKind::kWhen:
       return Status::InvalidArgument(
@@ -378,9 +316,9 @@ Result<RelationView> EvalRaCompute(const QueryPtr& query,
   return Status::Internal("unknown query kind in EvalRa");
 }
 
-Result<RelationView> EvalRaNode(const QueryPtr& query,
-                                const RelResolver& resolver,
-                                const EvalMemo* memo) {
+Result<Relation> EvalRaNode(const QueryPtr& query,
+                            const RelResolver& resolver,
+                            const EvalMemo* memo) {
   // Operator-boundary checkpoint: surfaces a kernel trip (the kernel broke
   // out with truncated data) before the partial result can propagate, and
   // bounds how long a deep plan runs past a deadline or cancellation.
@@ -393,26 +331,26 @@ Result<RelationView> EvalRaNode(const QueryPtr& query,
   uint64_t key = 0;
   if (memoizable) {
     key = MemoKey(query->Fingerprint(), memo->state_fingerprint);
-    if (RelationPtr hit = memo->cache->Lookup(key)) {
+    if (std::shared_ptr<const Relation> hit = memo->cache->Lookup(key)) {
       TraceSpan span("memo-hit", 0);
       span.set_rows_out(hit->size());
-      RelationView view(std::move(hit));
       // A hit still contributes this node's output to the recording: the
       // incremental entry must cover every node of the plan.
       if (memo->recorder != nullptr) {
-        memo->recorder->RecordNode(query->Fingerprint(), view);
+        memo->recorder->RecordNode(query->Fingerprint(), *hit);
       }
-      return view;
+      return hit->SharedCopy();
     }
   }
-  HQL_ASSIGN_OR_RETURN(RelationView result,
+  HQL_ASSIGN_OR_RETURN(Relation result,
                        EvalRaCompute(query, resolver, memo));
   // A kernel that tripped mid-operator returned truncated data; re-check
   // here so the partial relation is discarded, not memoized or returned.
   HQL_RETURN_IF_ERROR(GovernorCheck());
-  // Computed operator results are flat, so Shared() is a refcount bump; the
-  // cache and the computation share one relation.
-  if (memoizable) memo->cache->Insert(key, result.Shared());
+  // The cache and the computation share one payload.
+  if (memoizable) {
+    memo->cache->Insert(key, std::make_shared<const Relation>(result));
+  }
   if (memo != nullptr && memo->recorder != nullptr) {
     if (kind == QueryKind::kRel) {
       memo->recorder->RecordInput(query->rel_name(), result);
@@ -429,8 +367,7 @@ Result<Relation> EvalRa(const QueryPtr& query, const RelResolver& resolver) {
   if (query == nullptr) {
     return Status::InvalidArgument("EvalRa: query must not be null");
   }
-  HQL_ASSIGN_OR_RETURN(RelationView out, EvalRaNode(query, resolver, nullptr));
-  return out.Materialize();
+  return EvalRaNode(query, resolver, nullptr);
 }
 
 namespace {
@@ -453,17 +390,6 @@ Result<Relation> EvalRa(const QueryPtr& query, const RelResolver& resolver,
                         const EvalMemo& memo) {
   if (query == nullptr) {
     return Status::InvalidArgument("EvalRa: query must not be null");
-  }
-  HQL_ASSIGN_OR_RETURN(RelationView out,
-                       EvalRaNode(query, resolver, MemoOrNull(memo)));
-  return out.Materialize();
-}
-
-Result<RelationView> EvalRaView(const QueryPtr& query,
-                                const RelResolver& resolver,
-                                const EvalMemo& memo) {
-  if (query == nullptr) {
-    return Status::InvalidArgument("EvalRaView: query must not be null");
   }
   return EvalRaNode(query, resolver, MemoOrNull(memo));
 }

@@ -10,10 +10,10 @@
 // selections over products/joins run as theta joins, equality conjuncts
 // drive a hash join, and selections/projections stream over their input.
 //
-// Names resolve to copy-on-write RelationViews: a leaf scan of a
-// hypothetical state streams (base ∖ dels) ∪ adds through the view's merge
-// iterator instead of consolidating, so small-delta states are evaluated
-// without materializing the state.
+// Names resolve to copy-on-write Relations: a leaf scan of a hypothetical
+// state streams an overlay's (base ∖ dels) ∪ adds through Relation::Scan
+// instead of merging it, so small-delta states are evaluated without
+// materializing the state.
 
 #include <map>
 #include <string>
@@ -25,7 +25,6 @@
 #include "storage/database.h"
 #include "storage/index.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -33,15 +32,15 @@ namespace hql {
 class RelResolver {
  public:
   virtual ~RelResolver() = default;
-  virtual Result<RelationView> Resolve(const std::string& name) const = 0;
+  virtual Result<Relation> Resolve(const std::string& name) const = 0;
 };
 
 /// Resolves directly against a database state.
 class DatabaseResolver : public RelResolver {
  public:
   explicit DatabaseResolver(const Database& db) : db_(&db) {}
-  Result<RelationView> Resolve(const std::string& name) const override {
-    return db_->GetView(name);
+  Result<Relation> Resolve(const std::string& name) const override {
+    return db_->Get(name);
   }
 
  private:
@@ -55,13 +54,10 @@ class OverlayResolver : public RelResolver {
   explicit OverlayResolver(const RelResolver& base) : base_(&base) {}
 
   void Bind(const std::string& name, Relation value) {
-    overrides_.insert_or_assign(name, RelationView(std::move(value)));
-  }
-  void Bind(const std::string& name, RelationView value) {
     overrides_.insert_or_assign(name, std::move(value));
   }
 
-  Result<RelationView> Resolve(const std::string& name) const override {
+  Result<Relation> Resolve(const std::string& name) const override {
     auto it = overrides_.find(name);
     if (it != overrides_.end()) return it->second;
     return base_->Resolve(name);
@@ -69,7 +65,7 @@ class OverlayResolver : public RelResolver {
 
  private:
   const RelResolver* base_;
-  std::map<std::string, RelationView> overrides_;
+  std::map<std::string, Relation> overrides_;
 };
 
 /// Evaluates a pure RA query (InvalidArgument on `when` nodes).
@@ -92,8 +88,8 @@ struct EvalMemo {
   /// Columnar/vectorized execution policy (eval/vector_exec.h). The
   /// default (mode off) reproduces the row kernels exactly.
   ColumnarConfig columnar;
-  /// When set, every evaluated node's output and every resolved leaf view
-  /// are reported to the recorder (eval/incremental.h), capturing the
+  /// When set, every evaluated node's output and every resolved leaf
+  /// relation are reported to the recorder (eval/incremental.h), capturing the
   /// execution for later incremental patching. Observation only — results
   /// are unchanged.
   IncrementalRecorder* recorder = nullptr;
@@ -102,37 +98,25 @@ struct EvalMemo {
 /// EvalRa with subplan memoization: every operator node (leaves excepted —
 /// resolving a name is already cheap) is served from `memo.cache` when a
 /// structurally identical subplan was evaluated against the same state. A
-/// null `memo.cache` degrades to the plain evaluator.
+/// null `memo.cache` degrades to the plain evaluator. A memo hit or a bare
+/// leaf is a refcount bump, and a leaf overlay is returned unmerged.
 Result<Relation> EvalRa(const QueryPtr& query, const RelResolver& resolver,
                         const EvalMemo& memo);
 
-/// EvalRa returning the result as a view: a memo hit or a bare leaf scan is
-/// a refcount bump instead of a relation copy. `memo.cache` may be null.
-Result<RelationView> EvalRaView(const QueryPtr& query,
-                                const RelResolver& resolver,
-                                const EvalMemo& memo);
-
 // ---- shared physical operators (used by all evaluators) ----
-// Each operator has a flat-Relation form and a RelationView form; the view
-// forms stream through the merge iterator, so overlay inputs are consumed
-// without consolidation.
+// Each operator reads its inputs through Relation::Scan, so overlay inputs
+// are consumed without merging and flat inputs as plain vector loops.
 
 /// sigma_p(input).
 Relation FilterRelation(const Relation& input, const ScalarExpr& predicate);
-Relation FilterRelation(const RelationView& input,
-                        const ScalarExpr& predicate);
 
 /// pi_X(input).
 Relation ProjectRelation(const Relation& input,
-                         const std::vector<size_t>& columns);
-Relation ProjectRelation(const RelationView& input,
                          const std::vector<size_t>& columns);
 
 /// Theta join with hash-join fast path on equality conjuncts
 /// `$i = $j` linking the two sides; `predicate` may be null (product).
 Relation JoinRelations(const Relation& lhs, const Relation& rhs,
-                       const ScalarExprPtr& predicate);
-Relation JoinRelations(const RelationView& lhs, const RelationView& rhs,
                        const ScalarExprPtr& predicate);
 
 /// gamma[group_columns; func(agg_column)](input): hash aggregation. count
@@ -141,9 +125,6 @@ Relation JoinRelations(const RelationView& lhs, const RelationView& rhs,
 /// library-wide value order. An empty input yields an empty result even
 /// with no grouping columns.
 Relation AggregateRelation(const Relation& input,
-                           const std::vector<size_t>& group_columns,
-                           AggFunc func, size_t agg_column);
-Relation AggregateRelation(const RelationView& input,
                            const std::vector<size_t>& group_columns,
                            AggFunc func, size_t agg_column);
 

@@ -320,9 +320,9 @@ std::vector<uint32_t> DelPositions(const Relation& base,
   return out;
 }
 
-bool OverlayTooLarge(const RelationView& view, const ColumnarConfig& config) {
-  return static_cast<double>(view.delta_size()) >
-         config.max_delta_fraction * static_cast<double>(view.base()->size());
+bool OverlayTooLarge(const Relation& input, const ColumnarConfig& config) {
+  return static_cast<double>(input.delta_size()) >
+         config.max_delta_fraction * static_cast<double>(input.base().size());
 }
 
 }  // namespace
@@ -438,18 +438,18 @@ void EvalPredicateBatch(const ColumnBatch& batch, const VectorPredicate& pred,
   }
 }
 
-std::optional<Relation> TryColumnarFilter(const RelationView& input,
+std::optional<Relation> TryColumnarFilter(const Relation& input,
                                           const ScalarExprPtr& pred,
                                           const ColumnarConfig& config) {
   if (!config.enabled() || pred == nullptr) return std::nullopt;
-  const RelationPtr& base = input.base();
-  const size_t base_rows = base->size();
+  const Relation& base = input.base();
+  const size_t base_rows = base.size();
   if (base_rows < config.min_rows) return std::nullopt;
   if (OverlayTooLarge(input, config)) return std::nullopt;
   if (!HasCompilableShape(pred)) return std::nullopt;
 
   ExecGovernor* gov = CurrentGovernor();
-  ColumnBatchPtr batch = base->ColumnarBatch();
+  ColumnBatchPtr batch = base.ColumnarBatch();
   // A failpoint firing inside the batch build trips the governor; degrade
   // to the row scan, whose own cooperative checks surface the error.
   if (gov != nullptr && gov->tripped()) return std::nullopt;
@@ -457,8 +457,8 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
   if (!vpred.has_value()) return std::nullopt;
 
   TraceSpan span("columnar-select", input.size());
-  const std::vector<Tuple>& tuples = base->tuples();
-  const std::vector<uint32_t> del_pos = DelPositions(*base, input.dels());
+  const std::vector<Tuple>& tuples = base.tuples();
+  const std::vector<uint32_t> del_pos = DelPositions(base, input.dels());
 
   const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
   const size_t num_morsels = (base_rows + morsel_rows - 1) / morsel_rows;
@@ -520,8 +520,8 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
   return Relation::FromSortedUnique(input.arity(), std::move(out));
 }
 
-std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
-                                        const RelationView& rhs,
+std::optional<Relation> TryColumnarJoin(const Relation& lhs,
+                                        const Relation& rhs,
                                         const ScalarExprPtr& pred,
                                         const ColumnarConfig& config) {
   if (!config.enabled() || pred == nullptr) return std::nullopt;
@@ -532,11 +532,11 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
 
   // Probe the side with the larger base through its batch; build a hash
   // table over the smaller side's full content.
-  const bool probe_lhs = lhs.base()->size() >= rhs.base()->size();
-  const RelationView& probe = probe_lhs ? lhs : rhs;
-  const RelationView& build = probe_lhs ? rhs : lhs;
-  const RelationPtr& probe_base = probe.base();
-  const size_t probe_rows = probe_base->size();
+  const bool probe_lhs = lhs.base().size() >= rhs.base().size();
+  const Relation& probe = probe_lhs ? lhs : rhs;
+  const Relation& build = probe_lhs ? rhs : lhs;
+  const Relation& probe_base = probe.base();
+  const size_t probe_rows = probe_base.size();
   if (probe_rows < config.min_rows) return std::nullopt;
   if (OverlayTooLarge(probe, config)) return std::nullopt;
 
@@ -556,7 +556,7 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
   }
 
   ExecGovernor* gov = CurrentGovernor();
-  ColumnBatchPtr batch = probe_base->ColumnarBatch();
+  ColumnBatchPtr batch = probe_base.ColumnarBatch();
   if (gov != nullptr && gov->tripped()) return std::nullopt;
 
   TraceSpan span("columnar-join", lhs.size() + rhs.size());
@@ -566,14 +566,14 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
     for (size_t c : cols) key.push_back(t[c]);
     return key;
   };
-  // View iterators hand out references into base/overlay storage, stable
-  // for the view's lifetime, so the table stores plain pointers (the same
-  // contract the row hash join relies on).
+  // Scan hands out references into the build side's storage, stable for
+  // its lifetime, so the table stores plain pointers (the same contract the
+  // row hash join relies on).
   std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> table;
   table.reserve(build.size());
-  for (const Tuple& b : build) {
+  build.Scan([&](const Tuple& b) {
     table[key_of(b, build_cols)].push_back(&b);
-  }
+  });
 
   // Int fast path: a single join column, int64-encoded on the probe side.
   // Only integer build keys can match an integer probe column (Value's
@@ -590,8 +590,8 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
     }
   }
 
-  const std::vector<Tuple>& probe_tuples = probe_base->tuples();
-  const std::vector<uint32_t> del_pos = DelPositions(*probe_base, probe.dels());
+  const std::vector<Tuple>& probe_tuples = probe_base.tuples();
+  const std::vector<uint32_t> del_pos = DelPositions(probe_base, probe.dels());
   const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
   const size_t num_morsels = (probe_rows + morsel_rows - 1) / morsel_rows;
   std::vector<std::vector<Tuple>> slots(num_morsels);
@@ -1029,7 +1029,7 @@ void ReduceGlobalMorsel(const ColumnBatch& batch,
 }  // namespace
 
 std::optional<Relation> TryColumnarAggregate(
-    const RelationView& input, const std::vector<size_t>& group_columns,
+    const Relation& input, const std::vector<size_t>& group_columns,
     AggFunc func, size_t agg_column, const ColumnarConfig& config) {
   if (!config.enabled()) return std::nullopt;
   const size_t arity = input.arity();
@@ -1037,13 +1037,13 @@ std::optional<Relation> TryColumnarAggregate(
   for (size_t c : group_columns) {
     if (c >= arity) return std::nullopt;
   }
-  const RelationPtr& base = input.base();
-  const size_t base_rows = base->size();
+  const Relation& base = input.base();
+  const size_t base_rows = base.size();
   if (base_rows < config.min_rows) return std::nullopt;
   if (OverlayTooLarge(input, config)) return std::nullopt;
 
   ExecGovernor* gov = CurrentGovernor();
-  ColumnBatchPtr batch = base->ColumnarBatch();
+  ColumnBatchPtr batch = base.ColumnarBatch();
   if (gov != nullptr && gov->tripped()) return std::nullopt;
 
   // Pick the accumulation mode from the column encoding, then let the
@@ -1116,8 +1116,8 @@ std::optional<Relation> TryColumnarAggregate(
   }
 
   TraceSpan span("columnar-aggregate", input.size());
-  const std::vector<Tuple>& tuples = base->tuples();
-  const std::vector<uint32_t> del_pos = DelPositions(*base, input.dels());
+  const std::vector<Tuple>& tuples = base.tuples();
+  const std::vector<uint32_t> del_pos = DelPositions(base, input.dels());
   const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
   const size_t num_morsels = (base_rows + morsel_rows - 1) / morsel_rows;
   std::atomic<bool> stop{false};
@@ -1320,7 +1320,7 @@ std::optional<Relation> TryColumnarAggregate(
   return Relation::FromTuples(group_columns.size() + 1, std::move(out));
 }
 
-Relation VectorizedAggregate(const RelationView& input,
+Relation VectorizedAggregate(const Relation& input,
                              const std::vector<size_t>& group_columns,
                              AggFunc func, size_t agg_column,
                              const ColumnarConfig& columnar) {
@@ -1333,7 +1333,7 @@ Relation VectorizedAggregate(const RelationView& input,
   return AggregateRelation(input, group_columns, func, agg_column);
 }
 
-Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
+Relation VectorizedFilter(const Relation& input, const ScalarExprPtr& pred,
                           const IndexConfig& indexes,
                           const ColumnarConfig& columnar) {
   HQL_CHECK(pred != nullptr);
@@ -1347,7 +1347,7 @@ Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
   return FilterRelation(input, *pred);
 }
 
-Relation VectorizedJoin(const RelationView& lhs, const RelationView& rhs,
+Relation VectorizedJoin(const Relation& lhs, const Relation& rhs,
                         const ScalarExprPtr& pred, const IndexConfig& indexes,
                         const ColumnarConfig& columnar) {
   std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, indexes);

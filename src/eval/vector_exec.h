@@ -27,7 +27,6 @@
 #include "storage/column_batch.h"
 #include "storage/index.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -78,7 +77,7 @@ void EvalPredicateBatch(const ColumnBatch& batch, const VectorPredicate& pred,
 /// the overlay patched in row-wise. Returns nullopt when the config, base
 /// size, overlay size, or predicate shape rules vectorization out (callers
 /// fall back to the row scan).
-std::optional<Relation> TryColumnarFilter(const RelationView& input,
+std::optional<Relation> TryColumnarFilter(const Relation& input,
                                           const ScalarExprPtr& pred,
                                           const ColumnarConfig& config);
 
@@ -86,8 +85,8 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
 /// side, probes the larger side's column batch morsel-parallel. Returns
 /// nullopt when no equality conjunct crosses the split or the probe side
 /// does not qualify for vectorization.
-std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
-                                        const RelationView& rhs,
+std::optional<Relation> TryColumnarJoin(const Relation& lhs,
+                                        const Relation& rhs,
                                         const ScalarExprPtr& pred,
                                         const ColumnarConfig& config);
 
@@ -107,13 +106,13 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
 /// An empty group-column list is the global-aggregate fast path, reduced
 /// with the SIMD kernels from eval/simd.h.
 std::optional<Relation> TryColumnarAggregate(
-    const RelationView& input, const std::vector<size_t>& group_columns,
+    const Relation& input, const std::vector<size_t>& group_columns,
     AggFunc func, size_t agg_column, const ColumnarConfig& config);
 
 /// The routed aggregation kernel: columnar when it qualifies, then the row
 /// kernel; always equals AggregateRelation(input, group_columns, func,
 /// agg_column).
-Relation VectorizedAggregate(const RelationView& input,
+Relation VectorizedAggregate(const Relation& input,
                              const std::vector<size_t>& group_columns,
                              AggFunc func, size_t agg_column,
                              const ColumnarConfig& columnar);
@@ -121,13 +120,13 @@ Relation VectorizedAggregate(const RelationView& input,
 /// The routed selection kernel: index probe, then columnar scan, then the
 /// row scan — first taker wins; always equals FilterRelation(input, *pred).
 /// `pred` must be non-null.
-Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
+Relation VectorizedFilter(const Relation& input, const ScalarExprPtr& pred,
                           const IndexConfig& indexes,
                           const ColumnarConfig& columnar);
 
 /// The routed join kernel: index-nested-loop, then columnar hash join,
 /// then the row hash join; always equals JoinRelations(lhs, rhs, pred).
-Relation VectorizedJoin(const RelationView& lhs, const RelationView& rhs,
+Relation VectorizedJoin(const Relation& lhs, const Relation& rhs,
                         const ScalarExprPtr& pred, const IndexConfig& indexes,
                         const ColumnarConfig& columnar);
 

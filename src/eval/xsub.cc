@@ -7,20 +7,10 @@ namespace hql {
 
 const Relation* XsubValue::Get(const std::string& name) const {
   auto it = values_.find(name);
-  return it == values_.end() ? nullptr : it->second.get();
-}
-
-RelationPtr XsubValue::GetShared(const std::string& name) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? nullptr : it->second;
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 void XsubValue::Bind(const std::string& name, Relation value) {
-  Bind(name, std::make_shared<const Relation>(std::move(value)));
-}
-
-void XsubValue::Bind(const std::string& name, RelationPtr value) {
-  HQL_CHECK(value != nullptr);
   values_.insert_or_assign(name, std::move(value));
 }
 
@@ -35,7 +25,7 @@ XsubValue XsubValue::SmashWith(const XsubValue& later) const {
 Result<Database> XsubValue::ApplyTo(const Database& db) const {
   Database out = db;
   for (const auto& [name, value] : values_) {
-    HQL_RETURN_IF_ERROR(out.SetShared(name, value));
+    HQL_RETURN_IF_ERROR(out.Set(name, value.SharedCopy()));
   }
   return out;
 }
@@ -44,7 +34,7 @@ uint64_t XsubValue::TotalTuples() const {
   uint64_t n = 0;
   for (const auto& [name, value] : values_) {
     (void)name;
-    n += value->size();
+    n += value.size();
   }
   return n;
 }
@@ -53,7 +43,7 @@ std::string XsubValue::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(values_.size());
   for (const auto& [name, value] : values_) {
-    parts.push_back(value->ToString() + "/" + name);
+    parts.push_back(value.ToString() + "/" + name);
   }
   return "{" + Join(parts, ", ") + "}";
 }

@@ -12,17 +12,16 @@
 //   [(Q when e2) when e1](DB)
 //     = [Q](apply(DB, [e1]xval(DB) ! [e2]xval(apply(DB, [e1]xval(DB))))).
 //
-// Bindings are held as shared immutable relations, so smashing two
-// xsub-values or applying one to a database copies pointers, never tuples.
+// Bindings are held as Relations, handles over shared payloads, so
+// smashing two xsub-values or applying one to a database copies handles,
+// never tuples.
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "storage/database.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -38,28 +37,24 @@ class XsubValue {
   /// The bound relation, or nullptr.
   const Relation* Get(const std::string& name) const;
 
-  /// The bound relation as a shared pointer, or nullptr.
-  RelationPtr GetShared(const std::string& name) const;
-
   void Bind(const std::string& name, Relation value);
-  void Bind(const std::string& name, RelationPtr value);
 
-  /// this ! later: later's bindings win. O(bindings) pointer copies.
+  /// this ! later: later's bindings win. O(bindings) handle copies.
   XsubValue SmashWith(const XsubValue& later) const;
 
-  /// apply(DB, E); each binding is installed as a shared flat view
-  /// (refcount bump, no tuple copies).
+  /// apply(DB, E); each binding is installed by refcount bump, no tuple
+  /// copies.
   Result<Database> ApplyTo(const Database& db) const;
 
   /// Total number of materialized tuples (cost accounting in benchmarks).
   uint64_t TotalTuples() const;
 
-  const std::map<std::string, RelationPtr>& values() const { return values_; }
+  const std::map<std::string, Relation>& values() const { return values_; }
 
   std::string ToString() const;
 
  private:
-  std::map<std::string, RelationPtr> values_;
+  std::map<std::string, Relation> values_;
 };
 
 }  // namespace hql

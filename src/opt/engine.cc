@@ -341,10 +341,10 @@ Status Engine::DeclareRelation(const std::string& name, size_t arity) {
   std::lock_guard<std::mutex> lock(mu_);
   HQL_RETURN_IF_ERROR(schema_.AddRelation(name, arity));
   // Rebuild the base over the widened schema; existing relations are moved
-  // across as views (refcount bumps, no tuple copies).
+  // across by refcount bump, no tuple copies.
   Database next(schema_);
-  for (const auto& [rel, view] : base_.relations()) {
-    HQL_RETURN_IF_ERROR(next.SetView(rel, view));
+  for (const auto& [name, rel] : base_.relations()) {
+    HQL_RETURN_IF_ERROR(next.Set(name, rel));
   }
   base_ = std::move(next);
   ++base_version_;

@@ -294,9 +294,9 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
       if (patch_cost >= estimator.EstimateCost(query)) patch = false;
     }
     if (patch) {
-      Result<RelationView> patched = ApplyIncrementalPatch(
+      Result<Relation> patched = ApplyIncrementalPatch(
           query, attempt, memo.state_fingerprint, inc.cache);
-      if (patched.ok()) return patched->Materialize();
+      if (patched.ok()) return patched;
       if (patched.status().code() != StatusCode::kUnimplemented) {
         return patched.status();
       }
@@ -308,10 +308,10 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
 
   IncrementalRecorder recorder;
   memo.recorder = &recorder;
-  HQL_ASSIGN_OR_RETURN(RelationView out, EvalRaView(query, resolver, memo));
+  HQL_ASSIGN_OR_RETURN(Relation out, EvalRa(query, resolver, memo));
   inc.cache->Insert(query->Fingerprint(),
                     recorder.TakeEntry(out, memo.state_fingerprint));
-  return out.Materialize();
+  return out;
 }
 
 // The hybrid strategy's decision for `query` in `db`. Delta route: if every

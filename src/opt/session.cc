@@ -32,7 +32,7 @@ Result<HypotheticalSession> HypotheticalSession::Create(
   double affected_base = 0;
   for (const auto& [name, pair] : delta.pairs()) {
     (void)pair;
-    HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(name));
+    HQL_ASSIGN_OR_RETURN(Relation base, db.Get(name));
     affected_base += static_cast<double>(base.size());
   }
   double change = static_cast<double>(delta.TotalTuples());

@@ -9,8 +9,8 @@ namespace hql {
 
 namespace {
 
-// Guards lazy allocation of a Relation's batch_cache_ pointer; same
-// rationale as the index cache's global allocation mutex (index.cc).
+// Guards lazy allocation of a payload's batch_cache pointer; same rationale
+// as the index cache's global allocation mutex (index.cc).
 std::mutex& BatchCacheAllocMutex() {
   static std::mutex mu;
   return mu;
@@ -81,13 +81,19 @@ struct Relation::BatchCache {
 };
 
 std::shared_ptr<const ColumnBatch> Relation::ColumnarBatch() const {
+  if (payload_ == nullptr) {
+    // An empty relation has no payload to cache on; its batch is trivial.
+    return std::make_shared<const ColumnBatch>(*this);
+  }
   std::shared_ptr<BatchCache> cache;
   {
     std::lock_guard<std::mutex> lock(BatchCacheAllocMutex());
-    if (batch_cache_ == nullptr) batch_cache_ = std::make_shared<BatchCache>();
-    cache = batch_cache_;
+    if (payload_->batch_cache == nullptr) {
+      payload_->batch_cache = std::make_shared<BatchCache>();
+    }
+    cache = payload_->batch_cache;
   }
-  // Build under the per-relation lock: concurrent first requests wait on
+  // Build under the per-payload lock: concurrent first requests wait on
   // one transposition and then share it.
   std::lock_guard<std::mutex> lock(cache->mu);
   if (cache->batch != nullptr) {
@@ -100,10 +106,11 @@ std::shared_ptr<const ColumnBatch> Relation::ColumnarBatch() const {
 }
 
 std::shared_ptr<const ColumnBatch> Relation::ExistingColumnarBatch() const {
+  if (payload_ == nullptr) return nullptr;
   std::shared_ptr<BatchCache> cache;
   {
     std::lock_guard<std::mutex> lock(BatchCacheAllocMutex());
-    cache = batch_cache_;
+    cache = payload_->batch_cache;
   }
   if (cache == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(cache->mu);

@@ -9,11 +9,12 @@
 // from positions stay bit-identical to the row-at-a-time kernels.
 //
 // Batches are built lazily on first request (Relation::ColumnarBatch) and
-// cached install-once on the relation, exactly like the secondary-index
-// cache: concurrent first requests wait on one transposition and then
-// share it; copies drop the cache, moves carry it, Insert/Erase reset it.
-// Copy-on-write overlays never get a batch of their own — their base does,
-// and the delta stays row-oriented (eval/vector_exec.h patches it in).
+// cached install-once on the relation's shared payload, exactly like the
+// secondary-index cache: concurrent first requests wait on one
+// transposition and then share it, every copy sees it, and a copy-on-write
+// clone starts without it. Overlays never get a batch of their own — their
+// flat base does, and the delta stays row-oriented (eval/vector_exec.h
+// patches it in).
 
 #include <cstddef>
 #include <cstdint>

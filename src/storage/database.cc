@@ -8,7 +8,7 @@ namespace hql {
 
 Database::Database(Schema schema) : schema_(std::move(schema)) {
   for (const auto& [name, arity] : schema_.arities()) {
-    relations_.emplace(name, RelationView(arity));
+    relations_.emplace(name, Relation(arity));
   }
 }
 
@@ -17,39 +17,27 @@ Result<Relation> Database::Get(const std::string& name) const {
   if (it == relations_.end()) {
     return Status::NotFound("unknown relation: " + name);
   }
-  return *it->second.Shared();
+  return it->second;
 }
 
 const Relation& Database::GetRef(const std::string& name) const {
   auto it = relations_.find(name);
   HQL_CHECK_MSG(it != relations_.end(), name.c_str());
-  // Shared() consolidates overlays once into the view's flat cache, which
-  // all copies of the view share — the reference outlives this call.
-  return *it->second.Shared();
+  return it->second;
 }
 
-Result<RelationView> Database::GetView(const std::string& name) const {
+Status Database::Set(const std::string& name, Relation value) {
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound("unknown relation: " + name);
   }
-  return it->second;
-}
-
-const RelationView& Database::ViewRef(const std::string& name) const {
-  auto it = relations_.find(name);
-  HQL_CHECK_MSG(it != relations_.end(), name.c_str());
-  return it->second;
-}
-
-RelationPtr Database::GetShared(const std::string& name) const {
-  auto it = relations_.find(name);
-  HQL_CHECK_MSG(it != relations_.end(), name.c_str());
-  return it->second.Shared();
-}
-
-Status Database::Set(const std::string& name, Relation value) {
-  return SetView(name, RelationView(std::move(value)));
+  if (it->second.arity() != value.arity()) {
+    return Status::TypeError(StrFormat(
+        "arity mismatch assigning %s: schema %zu, value %zu", name.c_str(),
+        it->second.arity(), value.arity()));
+  }
+  it->second = std::move(value);
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const RelationIndex>> Database::BuildIndex(
@@ -70,31 +58,14 @@ Result<std::shared_ptr<const RelationIndex>> Database::BuildIndex(
                                      "ascending");
     }
   }
-  return it->second.base()->IndexOn(columns);
-}
-
-Status Database::SetShared(const std::string& name, RelationPtr value) {
-  return SetView(name, RelationView(std::move(value)));
-}
-
-Status Database::SetView(const std::string& name, RelationView value) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound("unknown relation: " + name);
-  }
-  if (it->second.arity() != value.arity()) {
-    return Status::TypeError(StrFormat(
-        "arity mismatch assigning %s: schema %zu, value %zu", name.c_str(),
-        it->second.arity(), value.arity()));
-  }
-  it->second = std::move(value);
-  return Status::OK();
+  return it->second.base().IndexOn(columns);
 }
 
 Database Database::Consolidated() const {
   Database out(schema_);
-  for (const auto& [name, view] : relations_) {
-    HQL_CHECK(out.Set(name, view.Materialize()).ok());
+  for (const auto& [name, rel] : relations_) {
+    HQL_CHECK(
+        out.Set(name, rel.base().ApplyTuples(rel.adds(), rel.dels())).ok());
   }
   return out;
 }
@@ -105,27 +76,27 @@ bool Database::operator==(const Database& other) const {
   auto b = other.relations_.begin();
   for (; a != relations_.end(); ++a, ++b) {
     if (a->first != b->first) return false;
-    if (!a->second.ContentEquals(b->second)) return false;
+    if (a->second != b->second) return false;
   }
   return true;
 }
 
 uint64_t Database::Hash() const {
-  // Content hash: each view hashes as its merged content (RelationView::Hash).
+  // Content hash: an overlay hashes as its merged content (Relation::Hash).
   uint64_t h = 0x452821E638D01377ULL;
-  for (const auto& [name, view] : relations_) {
+  for (const auto& [name, rel] : relations_) {
     h = HashCombine(h, HashString(name));
-    h = HashCombine(h, view.Hash());
+    h = HashCombine(h, rel.Hash());
   }
   return h;
 }
 
 std::string Database::ToString() const {
   std::string out;
-  for (const auto& [name, view] : relations_) {
+  for (const auto& [name, rel] : relations_) {
     out += name;
     out += " = ";
-    out += view.ToString();
+    out += rel.ToString();
     out += "\n";
   }
   return out;

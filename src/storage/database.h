@@ -6,21 +6,22 @@
 // value types: copying one produces an independent state, which is exactly
 // the DB[R <- V] notation of the paper's update semantics.
 //
-// Storage is copy-on-write: each name maps to a RelationView — a shared
-// immutable base relation plus a small add/del overlay — so copying a
-// Database, deriving a hypothetical state, or binding an unchanged relation
-// is a refcount bump, never a tuple copy. Flat access (Get/GetRef) is still
-// available for callers that need a plain Relation; overlays consolidate
-// lazily and cache the result.
+// Storage is copy-on-write: each name maps to a Relation, a handle over a
+// shared payload that is either flat or an overlay of a small add/del delta
+// on a shared flat base. Copying a Database, deriving a hypothetical state
+// or binding an unchanged relation is a refcount bump, never a tuple copy,
+// and every copy sees the indexes and column batches built on the shared
+// payloads.
 
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -31,48 +32,32 @@ class Database {
 
   const Schema& schema() const { return schema_; }
 
-  /// DB(R) as a flat copy; NotFound for names outside the schema.
+  /// DB(R) (a refcount bump, never a tuple copy); NotFound for names
+  /// outside the schema.
   Result<Relation> Get(const std::string& name) const;
 
-  /// DB(R) as a flat reference; CHECK-fails for names outside the schema
-  /// (internal evaluator paths validate names beforehand via typecheck).
-  /// Overlay-backed relations consolidate once and cache the flat form; the
-  /// reference stays valid as long as this Database (or any copy of the
-  /// view) is alive.
+  /// DB(R) by reference; CHECK-fails for names outside the schema (internal
+  /// evaluator paths validate names beforehand via typecheck). Never merges
+  /// an overlay.
   const Relation& GetRef(const std::string& name) const;
-
-  /// DB(R) as a copy-on-write view (cheap copy, no tuple movement);
-  /// NotFound for names outside the schema.
-  Result<RelationView> GetView(const std::string& name) const;
-
-  /// DB(R) view by reference; CHECK-fails for names outside the schema.
-  const RelationView& ViewRef(const std::string& name) const;
-
-  /// DB(R) as a shared flat relation (refcount bump when already flat).
-  /// CHECK-fails for names outside the schema.
-  RelationPtr GetShared(const std::string& name) const;
 
   /// DB[R <- value]; arity must match the schema.
   Status Set(const std::string& name, Relation value);
-  Status SetShared(const std::string& name, RelationPtr value);
-  Status SetView(const std::string& name, RelationView value);
 
-  /// Builds (or returns) a hash index over `columns` of DB(name)'s base
-  /// relation — the manual face of the index policy (IndexMode::kManual).
-  /// The index is cached on the base and shared by every copy-on-write
-  /// descendant; an overlay-backed relation indexes its base, which the
-  /// kernels patch with the overlay at probe time. NotFound for unknown
+  /// Builds (or returns) a hash index over `columns` of DB(name)'s flat
+  /// base — the manual face of the index policy (IndexMode::kManual). The
+  /// index is cached on the base's payload and shared by every copy and
+  /// every overlay over it; an overlay indexes its base, which the kernels
+  /// patch with the delta at probe time. NotFound for unknown
   /// names, InvalidArgument for empty/unsorted/out-of-range columns.
   Result<std::shared_ptr<const RelationIndex>> BuildIndex(
       const std::string& name, const std::vector<size_t>& columns) const;
 
-  /// A fully flat copy: every relation materialized into a fresh base, so
-  /// no base pointer is shared with this state and OverlayEditBetween
-  /// across the two states returns nullopt. The tuple storage of relations
-  /// that were already flat is still shared (Relation copies share their
-  /// payload); overlays become new storage, merged when first read
-  /// (RelationView::Materialize). Kept as the flat-state baseline and for
-  /// callers that must sever base identity.
+  /// A fully flat copy: every relation merged or copied into a fresh flat
+  /// payload, so no payload is shared with this state and
+  /// OverlayEditBetween across the two states returns nullopt. O(data);
+  /// kept as the flat-state baseline and for callers that must sever base
+  /// identity.
   Database Consolidated() const;
 
   /// Content equality (representation-independent: an overlay and a flat
@@ -85,13 +70,13 @@ class Database {
   /// Multi-line listing of all relations, for debugging and examples.
   std::string ToString() const;
 
-  const std::map<std::string, RelationView>& relations() const {
+  const std::map<std::string, Relation>& relations() const {
     return relations_;
   }
 
  private:
   Schema schema_;
-  std::map<std::string, RelationView> relations_;
+  std::map<std::string, Relation> relations_;
 };
 
 }  // namespace hql

@@ -11,10 +11,10 @@ namespace hql {
 
 namespace {
 
-// Guards lazy allocation of a Relation's index_cache_ pointer. A global
-// mutex keeps the hot Relation object one pointer wider instead of one
-// mutex wider; contention is bounded by index lookups, which are rare next
-// to tuple work.
+// Guards lazy allocation of a payload's index_cache pointer. A global mutex
+// keeps every payload one pointer wider instead of one mutex wider;
+// contention is bounded by index lookups, which are rare next to tuple
+// work.
 std::mutex& CacheAllocMutex() {
   static std::mutex mu;
   return mu;
@@ -76,13 +76,19 @@ struct Relation::IndexCache {
 
 std::shared_ptr<const RelationIndex> Relation::IndexOn(
     const std::vector<size_t>& columns) const {
+  if (payload_ == nullptr) {
+    // An empty relation has no payload to cache on; its index is trivial.
+    return std::make_shared<const RelationIndex>(*this, columns);
+  }
   std::shared_ptr<IndexCache> cache;
   {
     std::lock_guard<std::mutex> lock(CacheAllocMutex());
-    if (index_cache_ == nullptr) index_cache_ = std::make_shared<IndexCache>();
-    cache = index_cache_;
+    if (payload_->index_cache == nullptr) {
+      payload_->index_cache = std::make_shared<IndexCache>();
+    }
+    cache = payload_->index_cache;
   }
-  // Build under the per-relation lock: concurrent requests for the same
+  // Build under the per-payload lock: concurrent requests for the same
   // (base, columns) wait on the first build and then share it, so a family
   // of alternatives racing here still funds exactly one construction.
   std::lock_guard<std::mutex> lock(cache->mu);
@@ -99,10 +105,11 @@ std::shared_ptr<const RelationIndex> Relation::IndexOn(
 
 std::shared_ptr<const RelationIndex> Relation::ExistingIndex(
     const std::vector<size_t>& columns) const {
+  if (payload_ == nullptr) return nullptr;
   std::shared_ptr<IndexCache> cache;
   {
     std::lock_guard<std::mutex> lock(CacheAllocMutex());
-    cache = index_cache_;
+    cache = payload_->index_cache;
   }
   if (cache == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(cache->mu);
@@ -124,14 +131,13 @@ const char* IndexModeName(IndexMode mode) {
   return "?";
 }
 
-RelationIndexPtr IndexAdvisor::Advise(const RelationPtr& base,
+RelationIndexPtr IndexAdvisor::Advise(const Relation& base,
                                       const std::vector<size_t>& columns) {
-  if (base == nullptr) return nullptr;
   bool build = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++accesses_;
-    size_t& count = counts_[{static_cast<const void*>(base.get()), columns}];
+    size_t& count = counts_[{base.payload_id(), columns}];
     ++count;
     if (count == threshold_) {
       build = true;
@@ -142,8 +148,8 @@ RelationIndexPtr IndexAdvisor::Advise(const RelationPtr& base,
   }
   // IndexOn outside the advisor lock: the build may be slow, and the
   // relation cache's own locking already serializes duplicate builds.
-  if (build) return base->IndexOn(columns);
-  return base->ExistingIndex(columns);
+  if (build) return base.IndexOn(columns);
+  return base.ExistingIndex(columns);
 }
 
 IndexAdvisor::Stats IndexAdvisor::stats() const {

@@ -1,21 +1,21 @@
 #ifndef HQL_STORAGE_INDEX_H_
 #define HQL_STORAGE_INDEX_H_
 
-// Secondary hash indexes over immutable base relations.
+// Secondary hash indexes over immutable flat relations.
 //
 // A family of hypothetical states shares almost all of its data with the
-// base state, so an index built once on a base Relation serves every
-// copy-on-write descendant: probing a RelationView returns the base's
-// matching positions minus `dels` plus a linear filter of the (small)
-// `adds` — ~O(matches + |delta|) for a 10-row overlay on a 100k-row base,
-// where a scan pays O(|base|) per query, per alternative.
+// base state, so an index built once on a flat Relation serves every
+// overlay over it: probing an overlay returns the base's matching positions
+// minus `dels` plus a linear filter of the (small) `adds` —
+// ~O(matches + |delta|) for a 10-row overlay on a 100k-row base, where a
+// scan pays O(|base|) per query, per alternative.
 //
-// Indexes are built lazily once per (base relation, column set) and cached
-// on the Relation with the same install-once/thread-safe pattern as the
-// view layer's flat-consolidation cache; all CoW descendants share the
-// cached index by refcount. The IndexAdvisor is the simple frequency-driven
-// variant of automated index selection: it counts equality-predicate column
-// sets per base and builds an index once a set crosses a threshold.
+// Indexes are built lazily once per (payload, column set) and cached on the
+// relation's shared payload, install-once and thread-safe; every copy of the
+// relation and every overlay over it sees the cached index. The IndexAdvisor
+// is the simple frequency-driven variant of automated index selection: it
+// counts equality-predicate column sets per base and builds an index once a
+// set crosses a threshold.
 
 #include <cstdint>
 #include <map>
@@ -27,7 +27,6 @@
 
 #include "storage/relation.h"
 #include "storage/tuple.h"
-#include "storage/view.h"
 
 namespace hql {
 
@@ -93,9 +92,9 @@ const char* IndexModeName(IndexMode mode);
 /// accesses per base relation and builds the index once a column set has
 /// been requested `build_threshold` times. Thread-safe; meant to be shared
 /// across a session or an EvalAlternatives family so the whole family funds
-/// one build. Bases are identified by address — the advisor never extends a
-/// base's lifetime, and a recycled address can at worst warm a counter
-/// early, never produce a wrong result.
+/// one build. Bases are identified by payload address (Relation::payload_id)
+/// — the advisor never extends a base's lifetime, and a recycled address can
+/// at worst warm a counter early, never produce a wrong result.
 class IndexAdvisor {
  public:
   explicit IndexAdvisor(size_t build_threshold = 2)
@@ -104,7 +103,7 @@ class IndexAdvisor {
   /// Records one access to (base, columns); returns the index to probe —
   /// an existing one, or a freshly built one when the access count reaches
   /// the threshold — or null while the set is still below threshold.
-  RelationIndexPtr Advise(const RelationPtr& base,
+  RelationIndexPtr Advise(const Relation& base,
                           const std::vector<size_t>& columns);
 
   struct Stats {

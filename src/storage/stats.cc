@@ -8,7 +8,7 @@ namespace hql {
 
 namespace {
 
-// Distinct values per column of the view's base, one pass per column.
+// Distinct values per column of a flat base, one pass per column.
 std::vector<uint64_t> CollectDistinct(const Relation& base) {
   std::vector<uint64_t> counts(base.arity(), 0);
   for (size_t col = 0; col < base.arity(); ++col) {
@@ -25,10 +25,10 @@ StatsCatalog StatsCatalog::FromDatabase(const Database& db,
                                         bool collect_distinct) {
   StatsCatalog catalog;
   for (const auto& [name, rel] : db.relations()) {
-    RelationStats stats{rel.size(), rel.arity(), rel.base()->size(),
+    RelationStats stats{rel.size(), rel.arity(), rel.base().size(),
                         rel.delta_size()};
     if (collect_distinct) {
-      stats.distinct_counts = CollectDistinct(*rel.base());
+      stats.distinct_counts = CollectDistinct(rel.base());
     }
     catalog.SetViewStats(name, std::move(stats));
   }

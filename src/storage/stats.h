@@ -6,7 +6,7 @@
 // cardinality-based model so the hybrid planner of Examples 2.1(c)/2.2(b)
 // can be driven by data rather than hand annotations).
 //
-// The catalog is view-aware: for an overlay-backed relation it records the
+// The catalog is overlay-aware: for an overlay relation it records the
 // shared base cardinality and the overlay size separately, so consumers can
 // reason about the |base| ± |delta| band a hypothetical relation lives in
 // without consolidating it.
@@ -23,7 +23,7 @@ namespace hql {
 struct RelationStats {
   uint64_t cardinality = 0;       // exact: |base| - |dels| + |adds|
   size_t arity = 0;
-  uint64_t base_cardinality = 0;  // |base| of the backing view
+  uint64_t base_cardinality = 0;  // |base| of the overlay's flat base
   uint64_t delta_size = 0;        // |adds| + |dels| of the overlay
   // Per-column distinct counts over the *base* relation (empty unless
   // collected — FromDatabase(db, /*collect_distinct=*/true) or

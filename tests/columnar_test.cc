@@ -16,7 +16,6 @@
 #include "eval/vector_exec.h"
 #include "storage/column_batch.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -105,15 +104,18 @@ TEST(ColumnBatchCacheTest, InstallOnceAndShared) {
   EXPECT_EQ(rel.ExistingColumnarBatch().get(), first.get());
 }
 
-TEST(ColumnBatchCacheTest, CopyDropsMoveCarries) {
+TEST(ColumnBatchCacheTest, CopiesShareMoveCarries) {
   Relation rel = Ints({{1, 2}, {3, 4}});
   ColumnBatchPtr built = rel.ColumnarBatch();
 
-  Relation copy = rel;  // copies never share the cache
-  EXPECT_EQ(copy.ExistingColumnarBatch(), nullptr);
+  Relation copy = rel;  // a copy shares the payload, and so its cache
+  EXPECT_EQ(copy.ExistingColumnarBatch().get(), built.get());
 
-  Relation moved = std::move(rel);  // moves carry it
+  Relation moved = std::move(rel);  // a move carries it too
   EXPECT_EQ(moved.ExistingColumnarBatch().get(), built.get());
+
+  copy.Erase(IntRow({1, 2}));  // copy-on-write: a fresh payload, no cache
+  EXPECT_EQ(copy.ExistingColumnarBatch(), nullptr);
 }
 
 TEST(ColumnBatchCacheTest, MutationInvalidates) {
@@ -197,7 +199,7 @@ TEST(VectorPredicateTest, SelectionMatchesRowEvaluationPerConjunct) {
 
 TEST(ColumnarFilterTest, FallsBackBelowMinRowsAndOnHeavyOverlays) {
   Relation rel = Ints({{1, 2}, {3, 4}, {5, 6}});
-  RelationView view(std::make_shared<Relation>(rel));
+  Relation view = rel;
   ScalarExprPtr pred = Ge(Col(0), Int(3));
 
   ColumnarConfig off;  // mode kOff
@@ -208,9 +210,8 @@ TEST(ColumnarFilterTest, FallsBackBelowMinRowsAndOnHeavyOverlays) {
   EXPECT_FALSE(TryColumnarFilter(view, pred, small).has_value());
 
   // An overlay past max_delta_fraction of the base falls back too.
-  RelationView heavy = RelationView::Overlay(
-      std::make_shared<Relation>(rel),
-      {IntRow({7, 8}), IntRow({9, 10})}, {IntRow({1, 2})});
+  Relation heavy = Relation::Overlay(
+      rel, {IntRow({7, 8}), IntRow({9, 10})}, {IntRow({1, 2})});
   ColumnarConfig strict = TestConfig();
   strict.max_delta_fraction = 0.1;
   EXPECT_FALSE(TryColumnarFilter(heavy, pred, strict).has_value());
@@ -222,11 +223,9 @@ TEST(ColumnarFilterTest, FallsBackBelowMinRowsAndOnHeavyOverlays) {
 TEST(ColumnarFilterTest, OverlayResultsAreBitIdentical) {
   Rng rng(271);
   Relation base = GenRelation(&rng, 500, 2, 200);
-  RelationPtr shared = std::make_shared<Relation>(std::move(base));
-  Relation dels = SampleFraction(&rng, *shared, 0.05);
+  Relation dels = SampleFraction(&rng, base, 0.05);
   Relation adds = GenRelation(&rng, 20, 2, 200);
-  RelationView view = RelationView::Overlay(
-      shared, adds.tuples(), dels.tuples());
+  Relation view = Relation::Overlay(base, adds.tuples(), dels.tuples());
 
   ScalarExprPtr pred = And(Ge(Col(0), Int(40)), Lt(Col(1), Int(700000)));
   auto columnar = TryColumnarFilter(view, pred, TestConfig(64));
@@ -238,8 +237,8 @@ TEST(ColumnarJoinTest, EquiJoinMatchesRowHashJoin) {
   Rng rng(277);
   Relation lhs = GenRelation(&rng, 300, 2, 60);
   Relation rhs = GenRelation(&rng, 80, 2, 60);
-  RelationView lv(std::make_shared<Relation>(std::move(lhs)));
-  RelationView rv(std::make_shared<Relation>(std::move(rhs)));
+  const Relation& lv = lhs;
+  const Relation& rv = rhs;
 
   // Pure equi-join and equi-join with a residual conjunct.
   std::vector<ScalarExprPtr> preds = {
@@ -260,12 +259,10 @@ TEST(ColumnarJoinTest, EquiJoinMatchesRowHashJoin) {
 TEST(ColumnarJoinTest, OverlayedProbeSideIsPatched) {
   Rng rng(281);
   Relation probe = GenRelation(&rng, 400, 2, 80);
-  RelationPtr shared = std::make_shared<Relation>(std::move(probe));
-  Relation dels = SampleFraction(&rng, *shared, 0.04);
+  Relation dels = SampleFraction(&rng, probe, 0.04);
   Relation adds = GenRelation(&rng, 15, 2, 80);
-  RelationView lv = RelationView::Overlay(
-      shared, adds.tuples(), dels.tuples());
-  RelationView rv(std::make_shared<Relation>(GenRelation(&rng, 50, 2, 80)));
+  Relation lv = Relation::Overlay(probe, adds.tuples(), dels.tuples());
+  Relation rv = GenRelation(&rng, 50, 2, 80);
 
   ScalarExprPtr pred = Eq(Col(0), Col(2));
   auto columnar = TryColumnarJoin(lv, rv, pred, TestConfig(32));
@@ -285,12 +282,11 @@ TEST(ColumnarPropertyTest, VectorizedEqualsRowKernels) {
     size_t arity = 1 + static_cast<size_t>(rng.Uniform(0, 2));
     size_t rows = 1 + static_cast<size_t>(rng.Uniform(0, 400));
     Relation base = GenRelation(&rng, rows, arity, 16, 16);
-    RelationPtr shared = std::make_shared<Relation>(std::move(base));
-    RelationView view(shared);
+    Relation view = base;
     if (rng.Uniform(0, 2) == 0) {
-      Relation dels = SampleFraction(&rng, *shared, 0.05);
+      Relation dels = SampleFraction(&rng, base, 0.05);
       Relation adds = GenRelation(&rng, rng.Uniform(0, 10), arity, 16, 16);
-      view = RelationView::Overlay(shared, adds.tuples(), dels.tuples());
+      view = Relation::Overlay(base, adds.tuples(), dels.tuples());
     }
     ColumnarConfig config = TestConfig(
         /*morsel_rows=*/1 + static_cast<size_t>(rng.Uniform(0, 100)),
@@ -302,7 +298,7 @@ TEST(ColumnarPropertyTest, VectorizedEqualsRowKernels) {
         << "filter trial " << trial << ": " << pred->ToString();
 
     Relation other = GenRelation(&rng, 1 + rng.Uniform(0, 100), arity, 16, 16);
-    RelationView ov(std::make_shared<Relation>(std::move(other)));
+    const Relation& ov = other;
     ScalarExprPtr jpred =
         Eq(Col(rng.Uniform(0, arity - 1)),
            Col(arity + static_cast<size_t>(rng.Uniform(0, arity - 1))));

@@ -1,6 +1,6 @@
 // Property suite for the copy-on-write storage layer: evaluating any query
 // under any strategy must give bit-identical results whether the database's
-// relations are overlay-backed views or consolidated flat relations. The
+// relations are overlays or consolidated flat relations. The
 // overlays come from the same places they do in production — EvalState
 // deriving hypothetical states, and ApplyDelta stacking version-tree edges.
 
@@ -15,7 +15,6 @@
 #include "eval/direct.h"
 #include "opt/planner.h"
 #include "storage/database.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/version_tree.h"
@@ -97,24 +96,24 @@ TEST(CowOverlayTest, StackedApplyDeltaAgreesWithConsolidated) {
   for (int trial = 0; trial < 12; ++trial) {
     Database base = RandomDatabase(&rng, schema, 30, 8);
 
-    // Stack several random overlays per relation without ever
-    // consolidating (fraction pinned high), then compare against the flat
+    // Compose several random deltas per relation without ever
+    // consolidating (Relation::Overlay), then compare against the flat
     // database obtained by consolidating everything.
     Database overlay = base;
     for (int round = 0; round < 3; ++round) {
       for (const auto& [name, arity] : schema.arities()) {
-        ASSERT_OK_AND_ASSIGN(RelationView v, overlay.GetView(name));
-        Relation dels = SampleFraction(&rng, v.Materialize(), 0.3);
+        ASSERT_OK_AND_ASSIGN(Relation v, overlay.Get(name));
+        Relation dels = SampleFraction(&rng, v, 0.3);
         Relation adds = GenRelation(&rng, 4, arity, 8, 8);
-        ASSERT_OK(overlay.SetView(
-            name, v.ApplyDelta(adds.tuples(), dels.tuples(), 1e9)));
+        ASSERT_OK(overlay.Set(
+            name, Relation::Overlay(v, adds.tuples(), dels.tuples())));
       }
     }
     Database consolidated = overlay.Consolidated();
     ASSERT_TRUE(overlay == consolidated) << "trial " << trial;
 
     // Hypothetical queries on top of the already-overlaid database: the
-    // evaluators stack further deltas on the stored views.
+    // evaluators compose further deltas onto the stored overlays.
     QueryPtr q = RandomQuery(&rng, schema, 2, options);
     ExpectAllAgree(q, overlay, consolidated, schema, trial);
     QueryPtr hypo =

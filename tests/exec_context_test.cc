@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "opt/explain.h"
 #include "opt/session.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -26,6 +25,7 @@ namespace hql {
 namespace {
 
 using namespace hql::dsl;  // NOLINT
+using ::hql::testing::IntRow;
 using ::hql::testing::Ints;
 using ::hql::testing::MakeSchema;
 
@@ -76,9 +76,9 @@ TEST(ExecContextTest, ChargesLandOnInstalledContextNotProcessDefault) {
 TEST(ExecContextTest, ViewLayerChargesAmbientContext) {
   ExecContext ctx;
   ExecContextScope scope(&ctx);
-  Relation base = Ints({{1, 2}, {3, 4}, {5, 6}});
-  RelationView view(std::make_shared<Relation>(base));
-  EXPECT_EQ(view.size(), 3u);
+  Relation base = Ints({{1, 2}, {3, 4}, {5, 6}, {7, 8}});
+  Relation overlay = base.ApplyDelta({}, {IntRow({1, 2})});
+  EXPECT_EQ(overlay.size(), 3u);
   ExecStats stats = ctx.Snapshot();
   EXPECT_GE(stats.views_created, 1u);
   EXPECT_GE(stats.view_tuples_shared, 3u);

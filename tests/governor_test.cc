@@ -213,6 +213,40 @@ TEST(GovernedExecuteTest, DeadlineExpiresMidJoin) {
   EXPECT_GE(ctx.Snapshot().governor_deadline_trips, 1u);
 }
 
+// The product kernel charges every output tuple: R x S with 500 rows each
+// (250,000 output tuples) trips a 1,000-tuple budget under every strategy,
+// and a budget of exactly |R| * |S| passes.
+TEST(GovernedExecuteTest, ProductChargesEveryOutputTuple) {
+  Rng rng(29);
+  Schema schema = MakeSchema({{"R", 2}, {"S", 2}});
+  Database db(schema);
+  ASSERT_OK(db.Set("R", GenRelation(&rng, 500, 2, 100000)));
+  ASSERT_OK(db.Set("S", GenRelation(&rng, 500, 2, 100000)));
+  const uint64_t product_size =
+      static_cast<uint64_t>(db.GetRef("R").size()) * db.GetRef("S").size();
+  ASSERT_EQ(product_size, 250000u);
+  QueryPtr q = X(Rel("R"), Rel("S"));
+  for (Strategy strategy :
+       {Strategy::kDirect, Strategy::kLazy, Strategy::kFilter1,
+        Strategy::kFilter2, Strategy::kFilter3, Strategy::kHybrid}) {
+    ExecContext ctx;
+    ExecContextScope scope(&ctx);
+    PlannerOptions options;
+    options.budget.max_tuples = 1000;
+    auto tripped = Execute(q, db, schema, strategy, options);
+    ASSERT_FALSE(tripped.ok()) << StrategyName(strategy);
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
+        << StrategyName(strategy);
+    EXPECT_GE(ctx.Snapshot().governor_tuple_trips, 1u)
+        << StrategyName(strategy);
+
+    options.budget.max_tuples = product_size;
+    ASSERT_OK_AND_ASSIGN(Relation out,
+                         Execute(q, db, schema, strategy, options));
+    EXPECT_EQ(out.size(), product_size) << StrategyName(strategy);
+  }
+}
+
 TEST(GovernedExecuteTest, CancelBeforeStartReturnsImmediately) {
   Schema schema = MakeSchema({{"R", 2}});
   Database db = SmallDb(schema);

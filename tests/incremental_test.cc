@@ -20,7 +20,6 @@
 #include "eval/incremental.h"
 #include "eval/memo.h"
 #include "opt/planner.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -45,9 +44,9 @@ TEST(OverlayEditBetweenTest, SharedBaseYieldsCanonicalEdit) {
   // consolidation would (correctly) sever base sharing.
   std::vector<Tuple> rows;
   for (int64_t i = 1; i <= 40; ++i) rows.push_back(IntRow({i, i}));
-  RelationView base(Relation::FromTuples(2, std::move(rows)));
-  RelationView from = base.ApplyDelta({IntRow({90, 90})}, {IntRow({1, 1})});
-  RelationView to =
+  Relation base = Relation::FromTuples(2, std::move(rows));
+  Relation from = base.ApplyDelta({IntRow({90, 90})}, {IntRow({1, 1})});
+  Relation to =
       base.ApplyDelta({IntRow({90, 90}), IntRow({80, 80})}, {IntRow({2, 2})});
 
   std::optional<RelationEdit> edit = OverlayEditBetween(from, to);
@@ -58,21 +57,20 @@ TEST(OverlayEditBetweenTest, SharedBaseYieldsCanonicalEdit) {
             (std::vector<Tuple>{IntRow({1, 1}), IntRow({80, 80})}));
   EXPECT_EQ(edit->dels, (std::vector<Tuple>{IntRow({2, 2})}));
   // Canonical: applying the edit to `from` reproduces `to`'s content.
-  EXPECT_EQ(from.ApplyDelta(edit->adds, edit->dels).Materialize(),
-            to.Materialize());
+  EXPECT_EQ(from.ApplyDelta(edit->adds, edit->dels), to);
 }
 
 TEST(OverlayEditBetweenTest, IdenticalViewsYieldEmptyEdit) {
-  RelationView base(Ints({{1, 1}, {2, 2}}));
-  RelationView v = base.ApplyDelta({IntRow({5, 5})}, {});
+  Relation base = Ints({{1, 1}, {2, 2}});
+  Relation v = Relation::Overlay(base, {IntRow({5, 5})}, {});
   std::optional<RelationEdit> edit = OverlayEditBetween(v, v);
   ASSERT_TRUE(edit.has_value());
   EXPECT_TRUE(edit->empty());
 }
 
 TEST(OverlayEditBetweenTest, DifferentBasesAreNotComparable) {
-  RelationView a(Ints({{1, 1}, {2, 2}}));
-  RelationView b(Ints({{1, 1}, {2, 2}}));  // equal content, distinct base
+  Relation a = Ints({{1, 1}, {2, 2}});
+  Relation b = Ints({{1, 1}, {2, 2}});  // equal content, distinct payload
   EXPECT_FALSE(OverlayEditBetween(a, b).has_value());
 }
 

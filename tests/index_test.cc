@@ -20,7 +20,6 @@
 #include "eval/ra_eval.h"
 #include "storage/database.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -124,16 +123,19 @@ TEST(IndexCacheTest, MutationInvalidatesCache) {
   EXPECT_EQ(r.ExistingIndex({0}), nullptr);
 }
 
-TEST(IndexCacheTest, CopiesDropTheCacheMovesCarryIt) {
+TEST(IndexCacheTest, CopiesShareTheCacheMutationsDropIt) {
   Relation r = Ints({{1, 10}});
-  r.IndexOn({0});
+  RelationIndexPtr built = r.IndexOn({0});
 
-  Relation copy = r;  // a copy is a fresh mutable value: no cache
+  Relation copy = r;  // a copy shares the payload, and so its cache
+  EXPECT_EQ(copy.ExistingIndex({0}), built);
+
+  Relation moved = std::move(r);  // a move carries it too
+  EXPECT_EQ(moved.ExistingIndex({0}), built);
+
+  copy.Insert(IntRow({2, 20}));  // copy-on-write: a fresh payload, no cache
   EXPECT_EQ(copy.ExistingIndex({0}), nullptr);
-  EXPECT_NE(r.ExistingIndex({0}), nullptr);
-
-  Relation moved = std::move(r);  // a move transfers the cache
-  EXPECT_NE(moved.ExistingIndex({0}), nullptr);
+  EXPECT_EQ(moved.ExistingIndex({0}), built);
 }
 
 IndexConfig ManualConfig() {
@@ -145,20 +147,19 @@ IndexConfig ManualConfig() {
 
 TEST(IndexedFilterTest, OverlayProbeBeforeAndAfterApplyDelta) {
   IndexConfig config = ManualConfig();
-  RelationView flat(Ints({{1, 10}, {1, 20}, {2, 30}, {3, 40}}));
-  flat.base()->IndexOn({0});
+  Relation flat = Ints({{1, 10}, {1, 20}, {2, 30}, {3, 40}});
+  flat.IndexOn({0});
   ScalarExprPtr pred = Eq(Col(0), Int(1));
 
   std::optional<Relation> hit = TryIndexedFilter(flat, pred, config);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, FilterRelation(flat, *pred));
 
-  // Stack a delta touching the probed key on both sides: delete one base
-  // match, add a new one. Force overlay stacking so the base (and its
-  // index) stays shared.
-  RelationView overlay = flat.ApplyDelta({IntRow({1, 99})}, {IntRow({1, 10})},
-                                         /*consolidate_fraction=*/100.0);
-  ASSERT_EQ(overlay.base().get(), flat.base().get());
+  // Overlay a delta touching the probed key on both sides: delete one base
+  // match, add a new one. The overlay shares the base (and its index).
+  Relation overlay =
+      Relation::Overlay(flat, {IntRow({1, 99})}, {IntRow({1, 10})});
+  ASSERT_EQ(overlay.base().payload_id(), flat.payload_id());
   std::optional<Relation> patched = TryIndexedFilter(overlay, pred, config);
   ASSERT_TRUE(patched.has_value());
   EXPECT_EQ(*patched, Ints({{1, 20}, {1, 99}}));
@@ -170,20 +171,20 @@ TEST(IndexedFilterTest, ConsolidationBoundaryDropsTheSharedIndex) {
   // old base's index no longer applies, and the probe path reports a miss
   // (manual mode, nothing built on the new base) instead of using it.
   IndexConfig config = ManualConfig();
-  RelationView flat(Ints({{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
-  flat.base()->IndexOn({0});
+  Relation flat = Ints({{1, 10}, {2, 20}, {3, 30}, {4, 40}});
+  flat.IndexOn({0});
 
   std::vector<Tuple> adds;
   for (int i = 0; i < 10; ++i) adds.push_back(IntRow({1, 100 + i}));
-  RelationView merged = flat.ApplyDelta(adds, {});
+  Relation merged = flat.ApplyDelta(adds, {});
   ASSERT_TRUE(merged.is_flat());  // 10 > 0.25 * 4: consolidated
-  ASSERT_NE(merged.base().get(), flat.base().get());
+  ASSERT_NE(merged.payload_id(), flat.payload_id());
 
   ScalarExprPtr pred = Eq(Col(0), Int(1));
   EXPECT_FALSE(TryIndexedFilter(merged, pred, config).has_value());
 
   // Building on the new base restores the probe path, with the merged rows.
-  merged.base()->IndexOn({0});
+  merged.IndexOn({0});
   std::optional<Relation> hit = TryIndexedFilter(merged, pred, config);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 11u);
@@ -192,8 +193,8 @@ TEST(IndexedFilterTest, ConsolidationBoundaryDropsTheSharedIndex) {
 
 TEST(IndexedFilterTest, ResidualAndModeGates) {
   IndexConfig config = ManualConfig();
-  RelationView view(Ints({{1, 10}, {1, 20}, {2, 30}}));
-  view.base()->IndexOn({0});
+  Relation view = Ints({{1, 10}, {1, 20}, {2, 30}});
+  view.IndexOn({0});
 
   // Equality + residual: the probe narrows, the residual filters.
   ScalarExprPtr pred = And(Eq(Col(0), Int(1)), Gt(Col(1), Int(15)));
@@ -221,13 +222,13 @@ TEST(IndexedFilterTest, ResidualAndModeGates) {
 
 TEST(IndexedJoinTest, ProbesLargerSideAndPatchesOverlay) {
   IndexConfig config = ManualConfig();
-  RelationView small(Ints({{1, 100}, {2, 200}, {9, 900}}));
-  RelationView big_flat(
-      Ints({{1, 11}, {1, 12}, {2, 21}, {3, 31}, {4, 41}, {5, 51}}));
-  big_flat.base()->IndexOn({0});
-  RelationView big = big_flat.ApplyDelta({IntRow({2, 22})}, {IntRow({1, 12})},
-                                         /*consolidate_fraction=*/100.0);
-  ASSERT_EQ(big.base().get(), big_flat.base().get());
+  Relation small = Ints({{1, 100}, {2, 200}, {9, 900}});
+  Relation big_flat =
+      Ints({{1, 11}, {1, 12}, {2, 21}, {3, 31}, {4, 41}, {5, 51}});
+  big_flat.IndexOn({0});
+  Relation big =
+      Relation::Overlay(big_flat, {IntRow({2, 22})}, {IntRow({1, 12})});
+  ASSERT_EQ(big.base().payload_id(), big_flat.payload_id());
 
   // small.$0 = big.$2 with small on the left (arity 2).
   ScalarExprPtr pred = Eq(Col(0), Col(2));
@@ -245,8 +246,7 @@ TEST(IndexedJoinTest, ProbesLargerSideAndPatchesOverlay) {
 }
 
 TEST(IndexAdvisorTest, BuildsAtThreshold) {
-  Relation r = Ints({{1, 10}, {2, 20}});
-  RelationPtr base = std::make_shared<const Relation>(std::move(r));
+  const Relation base = Ints({{1, 10}, {2, 20}});
 
   IndexAdvisor advisor(/*build_threshold=*/3);
   EXPECT_EQ(advisor.Advise(base, {0}), nullptr);  // 1st access
@@ -315,16 +315,16 @@ TEST(IndexPropertyTest, IndexedKernelsMatchScansOnVersionTrees) {
     for (size_t i = 0; i < rows; ++i) {
       tuples.push_back(IntRow({rng.Uniform(0, 8), rng.Uniform(0, 50)}));
     }
-    RelationView view(Relation::FromTuples(2, std::move(tuples)));
+    Relation view = Relation::FromTuples(2, std::move(tuples));
 
     for (int depth = 0; depth < 4; ++depth) {
       std::vector<Tuple> adds, dels;
       for (int i = 0; i < 3; ++i) {
         adds.push_back(IntRow({rng.Uniform(0, 8), rng.Uniform(51, 99)}));
       }
-      if (!view.base()->tuples().empty()) {
-        dels.push_back(view.base()->tuples()[static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(view.base()->size()) - 1))]);
+      if (!view.base().tuples().empty()) {
+        dels.push_back(view.base().tuples()[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(view.base().size()) - 1))]);
       }
       view = view.ApplyDelta(adds, dels);
 
@@ -343,7 +343,7 @@ TEST(IndexPropertyTest, IndexedKernelsMatchScansOnVersionTrees) {
       for (int i = 0; i < 5; ++i) {
         probe_tuples.push_back(IntRow({rng.Uniform(0, 8)}));
       }
-      RelationView probe(Relation::FromTuples(1, std::move(probe_tuples)));
+      Relation probe = Relation::FromTuples(1, std::move(probe_tuples));
       ScalarExprPtr jpred = Eq(Col(0), Col(1));
       std::optional<Relation> joined =
           TryIndexedJoin(probe, view, jpred, config);

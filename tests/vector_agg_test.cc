@@ -23,7 +23,6 @@
 #include "eval/vector_exec.h"
 #include "opt/planner.h"
 #include "storage/relation.h"
-#include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -65,7 +64,7 @@ Relation MixedRelation() {
 TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
   Rng rng(307);
   Relation rel = GenRelation(&rng, 100, 2, 10);
-  RelationView view(std::make_shared<Relation>(rel));
+  const Relation& view = rel;
 
   ColumnarConfig off;  // mode kOff
   EXPECT_FALSE(
@@ -85,8 +84,8 @@ TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
           .has_value());
 
   // An overlay past max_delta_fraction falls back.
-  RelationView heavy = RelationView::Overlay(
-      std::make_shared<Relation>(rel),
+  Relation heavy = Relation::Overlay(
+      rel,
       {IntRow({200, 1}), IntRow({201, 1})}, {});
   ColumnarConfig strict = TestConfig();
   strict.max_delta_fraction = 0.001;
@@ -100,7 +99,7 @@ TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
 
 TEST(ColumnarAggregateTest, ExactnessGatesOnSumAndMinMax) {
   Relation rel = MixedRelation();
-  RelationView view(std::make_shared<Relation>(rel));
+  const Relation& view = rel;
   ColumnarConfig config = TestConfig(2);
 
   // Sum over a double or mixed column is order-sensitive: row kernel only.
@@ -121,8 +120,8 @@ TEST(ColumnarAggregateTest, ExactnessGatesOnSumAndMinMax) {
 
   // ...but a sum add that is not an int, and any min/max add hitting the
   // boxed-Value mode or an off-family typed mode, veto vectorization.
-  RelationView with_double_add = RelationView::Overlay(
-      std::make_shared<Relation>(Ints({{1, 2}, {3, 4}, {5, 6}})),
+  Relation with_double_add = Relation::Overlay(
+      Ints({{1, 2}, {3, 4}, {5, 6}}),
       {{Value::Int(9), Value::Double(2.5)}}, {});
   EXPECT_FALSE(TryColumnarAggregate(with_double_add, {0}, AggFunc::kSum, 1,
                                     config)
@@ -130,8 +129,8 @@ TEST(ColumnarAggregateTest, ExactnessGatesOnSumAndMinMax) {
   EXPECT_FALSE(TryColumnarAggregate(with_double_add, {0}, AggFunc::kMin, 1,
                                     config)
                    .has_value());
-  RelationView mixed_add = RelationView::Overlay(
-      std::make_shared<Relation>(MixedRelation()),
+  Relation mixed_add = Relation::Overlay(
+      MixedRelation(),
       {{Value::Int(9), Value::Double(2.5), Value::Int(1)}}, {});
   EXPECT_FALSE(
       TryColumnarAggregate(mixed_add, {0}, AggFunc::kMax, 2, config)
@@ -148,7 +147,7 @@ TEST(ColumnarAggregateTest, ExactnessGatesOnSumAndMinMax) {
 TEST(ColumnarAggregateTest, TypedKeysMatchRowKernelPerFunction) {
   Rng rng(311);
   Relation rel = GenRelation(&rng, 300, 3, 12, 50);
-  RelationView view(std::make_shared<Relation>(rel));
+  const Relation& view = rel;
   for (AggFunc func : kAllFuncs) {
     // One- and two-column int keys take the flat packed-key table.
     for (const std::vector<size_t>& cols :
@@ -163,7 +162,7 @@ TEST(ColumnarAggregateTest, TypedKeysMatchRowKernelPerFunction) {
 
 TEST(ColumnarAggregateTest, GenericKeysAndWideKeysMatchRowKernel) {
   Relation rel = MixedRelation();
-  RelationView view(std::make_shared<Relation>(rel));
+  const Relation& view = rel;
   // A generic-encoded key column forces the tuple-keyed fallback table.
   for (AggFunc func : {AggFunc::kCount, AggFunc::kMin, AggFunc::kMax}) {
     auto got = TryColumnarAggregate(view, {2}, func, 1, TestConfig(2));
@@ -174,7 +173,7 @@ TEST(ColumnarAggregateTest, GenericKeysAndWideKeysMatchRowKernel) {
   // Keys wider than the packed-key limit also go generic.
   Rng rng(313);
   Relation wide = GenRelation(&rng, 200, 6, 4, 3);
-  RelationView wview(std::make_shared<Relation>(wide));
+  const Relation& wview = wide;
   std::vector<size_t> cols = {0, 1, 2, 3, 4};
   auto got = TryColumnarAggregate(wview, cols, AggFunc::kSum, 5, TestConfig(32));
   ASSERT_TRUE(got.has_value());
@@ -184,12 +183,11 @@ TEST(ColumnarAggregateTest, GenericKeysAndWideKeysMatchRowKernel) {
 TEST(ColumnarAggregateTest, GlobalAggregateUsesSegmentReduction) {
   Rng rng(317);
   Relation rel = GenRelation(&rng, 500, 2, 40);
-  RelationPtr shared = std::make_shared<Relation>(std::move(rel));
-  Relation dels = SampleFraction(&rng, *shared, 0.06);
+  const Relation& shared = rel;
+  Relation dels = SampleFraction(&rng, shared, 0.06);
   Relation adds = GenRelation(&rng, 12, 2, 40);
-  for (const RelationView& view :
-       {RelationView(shared),
-        RelationView::Overlay(shared, adds.tuples(), dels.tuples())}) {
+  for (const Relation& view :
+       {shared, Relation::Overlay(shared, adds.tuples(), dels.tuples())}) {
     for (AggFunc func : kAllFuncs) {
       auto got = TryColumnarAggregate(view, {}, func, 1, TestConfig(64));
       ASSERT_TRUE(got.has_value()) << AggFuncName(func);
@@ -201,8 +199,8 @@ TEST(ColumnarAggregateTest, GlobalAggregateUsesSegmentReduction) {
 
 TEST(ColumnarAggregateTest, EmptyAfterDeletionsMatchesRowKernel) {
   Relation rel = Ints({{1, 2}, {3, 4}});
-  RelationView view = RelationView::Overlay(
-      std::make_shared<Relation>(rel), {}, {IntRow({1, 2}), IntRow({3, 4})});
+  Relation view = Relation::Overlay(
+      rel, {}, {IntRow({1, 2}), IntRow({3, 4})});
   // Deleting the whole base is a delta fraction of 1.0; lift the gate so
   // the empty-output path itself is what gets exercised.
   ColumnarConfig config = TestConfig();
@@ -218,7 +216,7 @@ TEST(ColumnarAggregateTest, EmptyAfterDeletionsMatchesRowKernel) {
 TEST(ColumnarAggregateTest, CountersChargeTheAggregatePath) {
   Rng rng(331);
   Relation rel = GenRelation(&rng, 200, 2, 10);
-  RelationView view(std::make_shared<Relation>(rel));
+  const Relation& view = rel;
   ExecContext ctx;
   ExecContextScope scope(&ctx);
   Relation out = VectorizedAggregate(view, {0}, AggFunc::kSum, 1,
@@ -239,7 +237,7 @@ TEST(ColumnarAggregateTest, CountersChargeTheAggregatePath) {
     }
     doubles = Relation::FromTuples(2, std::move(rows));
   }
-  RelationView dview(std::make_shared<Relation>(std::move(doubles)));
+  const Relation& dview = doubles;
   VectorizedAggregate(dview, {0}, AggFunc::kSum, 1, TestConfig(64));
   EXPECT_EQ(ctx.Snapshot().columnar_rows_fallback, 50u);
 }
@@ -364,12 +362,12 @@ TEST(ColumnarAggregatePropertyTest, VectorizedEqualsRowKernel) {
     size_t arity = 2 + static_cast<size_t>(rng.Uniform(0, 3));
     size_t rows = 1 + static_cast<size_t>(rng.Uniform(0, 400));
     Relation base = GenRelation(&rng, rows, arity, 8, 12);
-    RelationPtr shared = std::make_shared<Relation>(std::move(base));
-    RelationView view(shared);
+    const Relation& shared = base;
+    Relation view = shared;
     if (rng.Uniform(0, 2) == 0) {
-      Relation dels = SampleFraction(&rng, *shared, 0.08);
+      Relation dels = SampleFraction(&rng, shared, 0.08);
       Relation adds = GenRelation(&rng, rng.Uniform(0, 12), arity, 8, 12);
-      view = RelationView::Overlay(shared, adds.tuples(), dels.tuples());
+      view = Relation::Overlay(shared, adds.tuples(), dels.tuples());
     }
     ColumnarConfig config = TestConfig(
         /*morsel_rows=*/1 + static_cast<size_t>(rng.Uniform(0, 100)),
